@@ -30,20 +30,17 @@ from .hamilton_jacobi import (
     free_principal_function,
     hj_residual,
     integrate_hamilton,
-    principal_field_from_phase_series,
     principal_function_from_characteristics,
     verlet_step,
 )
 from .madelung import (
     AmplitudeRelationResult,
     PolarField,
-    QuantumPotentialField,
     align_phase_series,
     decompose,
     madelung_residuals,
     phase_jump_guard,
     quantum_potential,
-    quantum_potential_field,
     recompose,
     stationary_continuity_residual,
     total_potential,

@@ -37,6 +37,7 @@ from .ensemble import (
     build_superposition,
     compare_energy_statistics,
     energy_distribution,
+    nearest_level_counts,
     project,
     run_classical_ensemble,
 )
@@ -44,13 +45,10 @@ from .evolution import Observable, evolve, expectation
 from .grids import Grid1D
 from .hamilton_jacobi import (
     free_principal_function,
-    hj_residual,
     integrate_hamilton,
-    principal_field_from_phase_series,
     principal_function_from_characteristics,
 )
 from .madelung import (
-    align_phase_series,
     decompose,
     quantum_potential,
     recompose,
@@ -67,18 +65,36 @@ from .spectral import (
     solve_lowest_eigenpairs,
 )
 from .states import WaveFunction, gaussian_packet, harmonic_eigenfunction, plane_wave
-from .verification import VerifyContext, make_context, run_verify_all
+from .verification import (
+    VerifyContext,
+    free_characteristics_check,
+    inertial_checks,
+    make_context,
+    phase_action_gap_check,
+    run_verify_all,
+)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_columns(path: Path, header: list[str], *columns) -> None:
+    """CSV with one array per column: floats as repr, ints and bools as int.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    Callers that must show masked or non-finite entries as nan replace
+    them with np.nan first.
+    """
+    cells = [
+        (c.astype(int) if c.dtype == bool else c).tolist()
+        for c in map(np.asarray, columns)
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*cells, strict=True))
+
+
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_wavefunction_csv(path: Path, grid: Grid1D) -> WaveFunction:
@@ -99,6 +115,11 @@ def _load_wavefunction_csv(path: Path, grid: Grid1D) -> WaveFunction:
     return WaveFunction(data["re"] + 1j * data["im"], grid)
 
 
+def _write_wavefunction_csv(path: Path, psi: WaveFunction) -> None:
+    """(x, re, im) rows, the format _load_wavefunction_csv reads."""
+    _write_columns(path, ["x", "re", "im"], psi.grid.x, psi.values.real, psi.values.imag)
+
+
 def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
     h = assemble_hamiltonian(config.potential, config.grid, config.constants)
     return solve_lowest_eigenpairs(h, k)
@@ -115,15 +136,12 @@ def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> Verification
     pairs = _solve_pairs(config, k)
     grid = config.grid
 
-    with open(out / "eigenvalues.json", "w") as fh:
-        json.dump([pair.energy for pair in pairs], fh, indent=2)
-        fh.write("\n")
-    header = ["x"] + [f"psi_{n}" for n in range(k)]
-    columns = [grid.x] + [pair.state.values.real for pair in pairs]
-    _write_csv(
+    _write_json(out / "eigenvalues.json", [pair.energy for pair in pairs])
+    _write_columns(
         out / "eigenfunctions.csv",
-        header,
-        ([_fmt(col[i]) for col in columns] for i in range(grid.n_points)),
+        ["x"] + [f"psi_{n}" for n in range(k)],
+        grid.x,
+        *(pair.state.values.real for pair in pairs),
     )
 
     gram = np.array(
@@ -178,26 +196,17 @@ def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificatio
     store_every = int(config.get("evolve.store_every", 100))
     result = evolve(psi0, v, dt, n_steps, constants, store_every=store_every)
 
-    rows = []
     for k, w in enumerate(result.slices):
-        _write_csv(
-            out / f"slice_{k:04d}.csv",
-            ["x", "re", "im"],
-            (
-                [_fmt(x), _fmt(val.real), _fmt(val.imag)]
-                for x, val in zip(grid.x, w.values)
-            ),
-        )
-        rows.append(
-            [
-                _fmt(w.time),
-                _fmt(result.norm_history[k]),
-                _fmt(expectation(w, Observable.POSITION, constants)),
-                _fmt(expectation(w, Observable.MOMENTUM, constants)),
-                _fmt(result.energy_history[k]),
-            ]
-        )
-    _write_csv(out / "observables.csv", ["t", "norm", "position", "momentum", "energy"], rows)
+        _write_wavefunction_csv(out / f"slice_{k:04d}.csv", w)
+    _write_columns(
+        out / "observables.csv",
+        ["t", "norm", "position", "momentum", "energy"],
+        [w.time for w in result.slices],
+        result.norm_history,
+        [expectation(w, Observable.POSITION, constants) for w in result.slices],
+        [expectation(w, Observable.MOMENTUM, constants) for w in result.slices],
+        result.energy_history,
+    )
 
     drift = float(np.max(np.abs(result.norm_history - result.norm_history[0])))
     e0 = result.energy_history[0]
@@ -260,20 +269,13 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
     v = eval_potential(config.potential, grid, constants)
     v_q = quantum_potential(polar, constants)
     v_t = total_potential(v_q, v)
-    _write_csv(
+    _write_columns(
         out / "polar.csv",
         ["x", "lambda", "phi", "v_q", "v_t", "masked"],
-        (
-            [
-                _fmt(grid.x[i]),
-                _fmt(polar.modulus[i]),
-                _fmt(polar.phase[i]) if np.isfinite(polar.phase[i]) else "nan",
-                _fmt(v_q[i]) if np.isfinite(v_q[i]) else "nan",
-                _fmt(v_t[i]) if np.isfinite(v_t[i]) else "nan",
-                str(int(polar.node_mask[i])),
-            ]
-            for i in range(grid.n_points)
-        ),
+        grid.x,
+        polar.modulus,
+        *(np.where(np.isfinite(a), a, np.nan) for a in (polar.phase, v_q, v_t)),
+        polar.node_mask,
     )
 
     roundtrip = recompose(polar, constants)
@@ -302,9 +304,7 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
         summary["oscillator_identity_residual"] = verify_oscillator_identity(
             oscillator_index, pair, float(config.get("potential.omega")), constants
         )
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
 
     report = VerificationReport(scenario="madelung", metadata=summary)
     report.add(
@@ -350,18 +350,13 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
         n_steps,
         constants,
     )
-    _write_csv(
+    _write_columns(
         out / "trajectory.csv",
         ["t", "x", "p", "action"],
-        (
-            [_fmt(t), _fmt(x), _fmt(p), _fmt(s)]
-            for t, x, p, s in zip(
-                trajectory.times,
-                trajectory.positions,
-                trajectory.momenta,
-                trajectory.actions,
-            )
-        ),
+        trajectory.times,
+        trajectory.positions,
+        trajectory.momenta,
+        trajectory.actions,
     )
 
     report = VerificationReport(
@@ -397,28 +392,17 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
         )
         stride = int(config.get("hj.store_every", max(1, n_steps // 10)))
         for k in range(0, field.times.size, stride):
-            _write_csv(
+            valid = field.validity_mask[k]
+            _write_columns(
                 out / f"s_field_{k:04d}.csv",
                 ["x", "s", "valid"],
-                (
-                    [
-                        _fmt(grid.x[i]),
-                        _fmt(field.s[k, i]) if field.validity_mask[k, i] else "nan",
-                        str(int(field.validity_mask[k, i])),
-                    ]
-                    for i in range(grid.n_points)
-                ),
+                grid.x,
+                np.where(valid, field.s[k], np.nan),
+                valid,
             )
         if s0_kind == "free" and str(config.get("potential.kind")) == "free":
-            exact = s_fn(grid.x[None, :], field.times[:, None])
-            err = float(np.max(np.abs((field.s - exact)[field.validity_mask])))
             report.add(
-                ctx.check(
-                    "characteristics_free_error",
-                    err,
-                    "method of characteristics reproduces the free closed-form S",
-                    detail=f"{n_steps} steps, dt={dt}",
-                )
+                free_characteristics_check(ctx, field, s_fn, f"{n_steps} steps, dt={dt}")
             )
     return report
 
@@ -430,28 +414,9 @@ def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> Verific
 
     if scenario == "free":
         energy = float(config.get("hj.energy", 0.5))
-        psi = plane_wave(grid, energy, constants)
-        polar = decompose(psi, constants)
-        s_fn = free_principal_function(energy, constants)
-        diff = polar.phase - s_fn(grid.x, 0.0)
-        offset = 0.5 * (np.nanmax(diff) + np.nanmin(diff))
-        report.metadata["constant_offset"] = float(offset)
-        report.add(
-            ctx.check(
-                "inertial_phase_vs_action",
-                float(np.nanmax(np.abs(diff - offset))),
-                "free-motion phase equals the Hamilton principal function "
-                "-Et + x sqrt(2mE) up to a constant",
-                detail=f"E={energy}",
-            )
-        )
-        report.add(
-            ctx.check(
-                "inertial_quantum_potential",
-                float(np.nanmax(np.abs(quantum_potential(polar, constants)))),
-                "constant modulus makes the quantum potential vanish",
-            )
-        )
+        offset, checks = inertial_checks(ctx, grid, energy, f"E={energy}")
+        report.metadata["constant_offset"] = offset
+        report.checks.extend(checks)
     elif scenario == "harmonic-ground":
         omega = float(config.get("potential.omega"))
         potential = HarmonicPotential(omega)
@@ -460,25 +425,9 @@ def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> Verific
         ground = solve_lowest_eigenpairs(h, 1)[0]
         dt = float(config.get("hj.dt", 1e-3))
         result = evolve(ground.state, v, dt, 2, constants, store_every=1)
-        polars = [decompose(w, constants) for w in result.slices]
-        phases = align_phase_series(polars, constants)
-        field = principal_field_from_phase_series(
-            phases,
-            ~np.isnan(phases),
-            np.array([w.time for w in result.slices]),
-            grid,
-        )
-        residual = hj_residual(field, v, constants)[0]
-        v_q = quantum_potential(polars[1], constants)
         report.metadata["ground_energy"] = ground.energy
         report.add(
-            ctx.check(
-                "phase_action_gap_vs_vq",
-                float(np.nanmax(np.abs(residual + v_q))),
-                "classical HJ residual of the quantum phase equals -V_q: the "
-                "entire gap between S and Phi",
-                detail=f"omega={omega}, dt={dt}",
-            )
+            phase_action_gap_check(ctx, result.slices, v, f"omega={omega}, dt={dt}")
         )
     else:
         raise ConfigError(
@@ -508,27 +457,15 @@ def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Verifica
     pairs = _solve_pairs(config, coefficients.size)
     psi0 = build_superposition(pairs, weights)
 
-    grid = config.grid
-    _write_csv(
-        out / "psi0.csv",
-        ["x", "re", "im"],
-        (
-            [_fmt(x), _fmt(val.real), _fmt(val.imag)]
-            for x, val in zip(grid.x, psi0.values)
-        ),
-    )
+    _write_wavefunction_csv(out / "psi0.csv", psi0)
     distribution = energy_distribution(weights, pairs)
-    with open(out / "energy_distribution.json", "w") as fh:
-        json.dump(
-            [
-                {"level": n, "energy": e, "probability": p}
-                for n, (e, p) in enumerate(distribution)
-            ],
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(
+        out / "energy_distribution.json",
+        [
+            {"level": n, "energy": e, "probability": p}
+            for n, (e, p) in enumerate(distribution)
+        ],
+    )
 
     recovered = project(psi0, pairs).coefficients
     report = VerificationReport(
@@ -585,30 +522,17 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
     )
 
     for idx in range(result.histogram_times.size):
-        _write_csv(
+        _write_columns(
             out / f"histogram_t{idx:04d}.csv",
             ["bin_left", "bin_right", "count"],
-            (
-                [
-                    _fmt(result.bin_edges[i]),
-                    _fmt(result.bin_edges[i + 1]),
-                    str(int(result.histograms[idx, i])),
-                ]
-                for i in range(result.bin_edges.size - 1)
-            ),
+            result.bin_edges[:-1],
+            result.bin_edges[1:],
+            result.histograms[idx],
         )
-    _write_csv(
-        out / "sample_energies.csv",
-        ["sample_energy"],
-        ([_fmt(e)] for e in result.sample_energies),
-    )
+    _write_columns(out / "sample_energies.csv", ["sample_energy"], result.sample_energies)
 
     tv = compare_energy_statistics(quantum, result.sample_energies)
-    levels = np.array([e for e, _ in quantum])
-    midpoints = 0.5 * (levels[1:] + levels[:-1])
-    counts = np.bincount(
-        np.searchsorted(midpoints, result.sample_energies), minlength=levels.size
-    )
+    counts = nearest_level_counts(energies, result.sample_energies)
     comparison = {
         "tv_distance": float(tv),
         "n_samples": spec.n_samples,
@@ -625,9 +549,7 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
             for n, (e, p) in enumerate(quantum)
         ],
     }
-    with open(out / "comparison.json", "w") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "comparison.json", comparison)
 
     report = VerificationReport(
         scenario="ensemble",
@@ -702,7 +624,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"qclab: config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
+        # RuntimeError covers solver failures: EigensolverError, the
+        # spectral residual gate, a non-finite Crank-Nicolson step
         print(f"qclab: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():

@@ -56,7 +56,6 @@ _SCHEMA: dict[str, type] = {
     "evolve.state": str,
     "evolve.n": int,
     "evolve.csv": str,
-    "evolve.energy": float,
     "evolve.center": float,
     "evolve.momentum": float,
     "evolve.width": float,

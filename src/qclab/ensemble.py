@@ -277,6 +277,12 @@ def run_classical_ensemble(
     )
 
 
+def nearest_level_counts(levels: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """How many energies fall nearest to each of the ascending levels."""
+    midpoints = 0.5 * (levels[1:] + levels[:-1])
+    return np.bincount(np.searchsorted(midpoints, energies), minlength=levels.size)
+
+
 def compare_energy_statistics(
     quantum: Sequence[tuple[float, float]], classical_energies: np.ndarray
 ) -> float:
@@ -292,8 +298,5 @@ def compare_energy_statistics(
     probs = np.array([p for _, p in quantum])
     order = np.argsort(levels)
     levels, probs = levels[order], probs[order]
-    midpoints = 0.5 * (levels[1:] + levels[:-1])
-    assigned = np.searchsorted(midpoints, classical_energies)
-    counts = np.bincount(assigned, minlength=levels.size)
-    empirical = counts / classical_energies.size
+    empirical = nearest_level_counts(levels, classical_energies) / classical_energies.size
     return float(0.5 * np.sum(np.abs(probs - empirical)))

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 from .grids import PhysicalConstants
 from .spectral import hamiltonian_from_values
 from .states import WaveFunction
-from .stencils import gradient_complex
+from .stencils import gradient
 
 _IMAG_RESIDUE_TOL = 1e-10
 _NORM_TOL = 1e-6
@@ -150,7 +150,7 @@ def expectation(
         integrand = np.conj(values) * grid.x * values
     elif observable is Observable.MOMENTUM:
         integrand = np.conj(values) * (
-            -1j * constants.hbar * gradient_complex(values, grid.dx)
+            -1j * constants.hbar * gradient(values, grid.dx)
         )
     elif observable is Observable.ENERGY:
         if potential_values is None:

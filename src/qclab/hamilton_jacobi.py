@@ -244,19 +244,3 @@ def hj_residual(
         ds_dt = (field.s[k + 1] - field.s[k - 1]) / (2.0 * dt)
         rows.append(grad_s**2 / (2.0 * m) + potential_values + ds_dt)
     return np.stack(rows)
-
-
-def principal_field_from_phase_series(
-    phases: np.ndarray,
-    masks: np.ndarray,
-    times: np.ndarray,
-    grid: Grid1D,
-) -> PrincipalFunctionField:
-    """Wrap an aligned quantum phase series as a principal-function field.
-
-    Lets hj_residual run unchanged on Phi: for stationary states the
-    result equals -v_q pointwise (the entire quantum-classical gap).
-    phases: (n_slices, n_points), NaN where masked; masks: True where
-    valid.
-    """
-    return PrincipalFunctionField(phases, masks, times, grid)

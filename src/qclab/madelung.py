@@ -62,15 +62,6 @@ class PolarField:
                 raise ValueError(f"{name} must have shape ({n},)")
 
 
-@dataclass(frozen=True)
-class QuantumPotentialField:
-    """v_q and v_t = V + v_q on a grid, NaN where the node mask dilates."""
-
-    v_q: np.ndarray
-    v_t: np.ndarray
-    grid: Grid1D
-
-
 def _unmasked_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """[start, stop) index pairs of contiguous unmasked runs."""
     runs = []
@@ -155,15 +146,6 @@ def total_potential(v_q: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v_q.shape != v.shape:
         raise ValueError(f"shape mismatch: v_q {v_q.shape} vs V {v.shape}")
     return v + v_q
-
-
-def quantum_potential_field(
-    polar: PolarField,
-    potential_values: np.ndarray,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> QuantumPotentialField:
-    v_q = quantum_potential(polar, constants)
-    return QuantumPotentialField(v_q, total_potential(v_q, potential_values), polar.grid)
 
 
 def phase_jump_guard(

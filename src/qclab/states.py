@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
-from .stencils import gradient_complex
+from .stencils import gradient
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def probability_current(
     Used as the independent cross-check for phase-gradient based
     diagnostics; deliberately does not touch the polar decomposition.
     """
-    dpsi = gradient_complex(psi.values, psi.grid.dx)
+    dpsi = gradient(psi.values, psi.grid.dx)
     return (constants.hbar / constants.mass) * np.imag(
         np.conj(psi.values) * dpsi
     )

@@ -11,8 +11,13 @@ import numpy as np
 
 
 def gradient(f: np.ndarray, dx: float) -> np.ndarray:
-    """First derivative: (f[i+1]-f[i-1])/(2 dx) inside, 3-point one-sided at ends."""
-    f = np.asarray(f, dtype=float)
+    """First derivative: (f[i+1]-f[i-1])/(2 dx) inside, 3-point one-sided at ends.
+
+    Real input is promoted to float, complex input keeps its dtype (the
+    same stencil acts on both parts).
+    """
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f, float), copy=False)
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
@@ -28,14 +33,4 @@ def second_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
     out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx2
     out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / dx2
-    return out
-
-
-def gradient_complex(f: np.ndarray, dx: float) -> np.ndarray:
-    """gradient() for complex fields (same stencils on both parts)."""
-    f = np.asarray(f)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     return out

@@ -92,6 +92,18 @@ def solve_shifted(
     return np.asarray(x)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v; rescales v in place by max|v| first if the
+    sum of squares overflows (a near-singular shift can leave entries
+    near 1/_TINY)."""
+    with np.errstate(over="ignore"):
+        nv = np.linalg.norm(v)
+    if not np.isfinite(nv):
+        v /= np.max(np.abs(v))
+        nv = np.linalg.norm(v)
+    return nv
+
+
 def _apply(diag: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
     out = diag * v
     out[1:] += off * v[:-1]
@@ -148,6 +160,7 @@ def lowest_eigenpairs(
 
         v = start.copy()
         theta = sigma
+        residual = float("inf")
         converged = False
         for it in range(1, _MAX_INVERSE_ITERATIONS + 1):
             v = solve_shifted(diag, off, sigma, v)
@@ -155,7 +168,7 @@ def lowest_eigenpairs(
             for i in range(j):
                 if abs(values[i] - sigma) < 1e-6 * scale:
                     v -= np.dot(vectors[:, i], v) * vectors[:, i]
-            nv = np.linalg.norm(v)
+            nv = _norm(v)
             if nv == 0.0:
                 v = start.copy()
                 continue
@@ -188,7 +201,7 @@ def lowest_eigenpairs(
             for i in range(j):
                 if abs(values[i] - sigma) < 1e-6 * scale:
                     w -= np.dot(vectors[:, i], w) * vectors[:, i]
-            nw = np.linalg.norm(w)
+            nw = _norm(w)
             if nw == 0.0:
                 break
             w /= nw

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -49,10 +50,10 @@ from .ensemble import (
 from .evolution import EvolutionResult, Observable, evolve, expectation
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
+    PrincipalFunctionField,
     free_principal_function,
     hj_residual,
     integrate_hamilton,
-    principal_field_from_phase_series,
     principal_function_from_characteristics,
 )
 from .madelung import (
@@ -198,31 +199,79 @@ class VerifyContext:
         )
 
 
-def criterion_inertial(ctx: VerifyContext) -> list[CheckResult]:
-    grid = ctx.wide_grid
-    energy = 0.5
+def inertial_checks(
+    ctx: VerifyContext, grid: Grid1D, energy: float, detail: str
+) -> tuple[float, list[CheckResult]]:
+    """Free plane wave of energy E: phase against -Et + x sqrt(2mE), flat V_q.
+
+    Returns the constant offset between phase and principal function
+    together with the two checks; `detail` annotates the phase check.
+    """
     psi = plane_wave(grid, energy, ctx.constants)
     polar = decompose(psi, ctx.constants)
     s_fn = free_principal_function(energy, ctx.constants)
     diff = polar.phase - s_fn(grid.x, 0.0)
     offset = 0.5 * (np.nanmax(diff) + np.nanmin(diff))
-    phase_dev = float(np.nanmax(np.abs(diff - offset)))
     v_q = quantum_potential(polar, ctx.constants)
-    v_q_max = float(np.nanmax(np.abs(v_q)))
-    return [
+    return float(offset), [
         ctx.check(
             "inertial_phase_vs_action",
-            phase_dev,
+            float(np.nanmax(np.abs(diff - offset))),
             "free-motion phase equals the Hamilton principal function "
             "-Et + x sqrt(2mE) up to a constant",
-            detail="plane wave E=0.5 on (-20,20)/4001",
+            detail=detail,
         ),
         ctx.check(
             "inertial_quantum_potential",
-            v_q_max,
+            float(np.nanmax(np.abs(v_q))),
             "constant modulus makes the quantum potential vanish",
         ),
     ]
+
+
+def phase_action_gap_check(
+    ctx: VerifyContext,
+    slices: Sequence[WaveFunction],
+    potential_values: np.ndarray,
+    detail: str,
+) -> CheckResult:
+    """Classical HJ residual of the aligned phase of three consecutive
+    slices, against -V_q of the middle one."""
+    polars = [decompose(w, ctx.constants) for w in slices]
+    phases = align_phase_series(polars, ctx.constants)
+    field = PrincipalFunctionField(
+        phases, ~np.isnan(phases), np.array([w.time for w in slices]), slices[0].grid
+    )
+    residual = hj_residual(field, potential_values, ctx.constants)[0]
+    v_q_mid = quantum_potential(polars[1], ctx.constants)
+    return ctx.check(
+        "phase_action_gap_vs_vq",
+        float(np.nanmax(np.abs(residual + v_q_mid))),
+        "classical HJ residual of the quantum phase equals -V_q: the "
+        "entire gap between S and Phi",
+        detail=detail,
+    )
+
+
+def free_characteristics_check(
+    ctx: VerifyContext, field: PrincipalFunctionField, s_fn, detail: str
+) -> CheckResult:
+    """Largest deviation of a characteristics field from the closed-form
+    free principal function s_fn(x, t) over its valid points."""
+    exact = s_fn(field.grid.x[None, :], field.times[:, None])
+    return ctx.check(
+        "characteristics_free_error",
+        float(np.max(np.abs((field.s - exact)[field.validity_mask]))),
+        "method of characteristics reproduces the free closed-form S",
+        detail=detail,
+    )
+
+
+def criterion_inertial(ctx: VerifyContext) -> list[CheckResult]:
+    _, checks = inertial_checks(
+        ctx, ctx.wide_grid, 0.5, "plane wave E=0.5 on (-20,20)/4001"
+    )
+    return checks
 
 
 def criterion_spectrum(ctx: VerifyContext) -> list[CheckResult]:
@@ -272,33 +321,18 @@ def criterion_quantum_potential_gap(ctx: VerifyContext) -> list[CheckResult]:
         polar = decompose(pair.state, ctx.constants)
         v_t = total_potential(quantum_potential(polar, ctx.constants), v)
         deviations.append(float(np.nanmax(np.abs(v_t - (n + 0.5)))))
-    const_dev = float(max(deviations))
-
-    slices = ctx.ground_evolution.slices[:3]
-    polars = [decompose(w, ctx.constants) for w in slices]
-    phases = align_phase_series(polars, ctx.constants)
-    field = principal_field_from_phase_series(
-        phases,
-        ~np.isnan(phases),
-        np.array([w.time for w in slices]),
-        slices[0].grid,
-    )
-    residual = hj_residual(field, v, ctx.constants)[0]
-    v_q_mid = quantum_potential(polars[1], ctx.constants)
-    gap_dev = float(np.nanmax(np.abs(residual + v_q_mid)))
     return [
         ctx.check(
             "effective_potential_constancy",
-            const_dev,
+            float(max(deviations)),
             "V + V_q equals E_n pointwise on harmonic eigenstates",
             detail=", ".join(f"n={n}: {d:.3e}" for n, d in enumerate(deviations)),
         ),
-        ctx.check(
-            "phase_action_gap_vs_vq",
-            gap_dev,
-            "classical HJ residual of the quantum phase equals -V_q: the "
-            "entire gap between S and Phi",
-            detail="evolved ground state, three consecutive stored slices",
+        phase_action_gap_check(
+            ctx,
+            ctx.ground_evolution.slices[:3],
+            v,
+            "evolved ground state, three consecutive stored slices",
         ),
     ]
 
@@ -523,8 +557,6 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
     field = principal_function_from_characteristics(
         FreePotential(), s_fn(grid.x, 0.0), grid, _DT, 100, ctx.constants
     )
-    exact = s_fn(grid.x[None, :], field.times[:, None])
-    free_error = float(np.max(np.abs((field.s - exact)[field.validity_mask])))
 
     grid_h = ctx.harmonic_grid
     rest = principal_function_from_characteristics(
@@ -545,12 +577,7 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
         caustic_steps = float(abs(t_caustic - 0.25 * _PERIOD) / _DT)
         detail = f"first fully-masked slice at t={t_caustic:.4f}, period/4={0.25 * _PERIOD:.4f}"
     return [
-        ctx.check(
-            "characteristics_free_error",
-            free_error,
-            "method of characteristics reproduces the free closed-form S",
-            detail="100 steps, dt=1e-3",
-        ),
+        free_characteristics_check(ctx, field, s_fn, "100 steps, dt=1e-3"),
         ctx.check(
             "caustic_time_error_steps",
             caustic_steps,
@@ -642,7 +669,6 @@ def run_verify_all(
     )
     for scenario_id, builder in CRITERIA:
         started = time.perf_counter()
-        for check in builder(ctx):
-            report.add(check)
+        report.checks.extend(builder(ctx))
         report.timing[scenario_id] = time.perf_counter() - started
     return report

@@ -1,5 +1,6 @@
 """Config parsing and the CLI subcommands, driven in-process through main()."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 
 from qclab import ConfigError, load_run_config, parse_config_text
 from qclab.cli import main
-from qclab.config import RunConfig
+from qclab.config import _SCHEMA, RunConfig
+from qclab.grids import build_grid
 from qclab.potentials import (
     FreePotential,
     HarmonicPotential,
     SmoothBarrierPotential,
 )
+from qclab.report import VerificationReport
+from qclab.verification import criterion_inertial, make_context
 
 REPO = Path(__file__).resolve().parent.parent
 PLANE_WAVE_FIXTURE = REPO / "fixtures" / "plane_wave.csv"
@@ -87,6 +91,27 @@ def test_potential_dispatch():
 def test_tolerance_overrides_are_collected():
     config = RunConfig({"tolerance.norm_drift": 1e-8, "eigen.k": 3})
     assert config.tolerance_overrides == {"norm_drift": 1e-8}
+
+
+def _readme_config_keys() -> set[str]:
+    """Keys listed under README "Configuration files", `.x` expanded to
+    the group of the first full key in the same bullet."""
+    text = (REPO / "README.md").read_text()
+    section = text.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for bullet in section.split("\n* ")[1:]:
+        group = None
+        for token in re.findall(r"`([^`]+)`", bullet):
+            if re.fullmatch(r"[a-z_]+\.[a-z0-9_<>-]+", token):
+                group = group or token.split(".")[0]
+                keys.add(token)
+            elif re.fullmatch(r"\.[a-z0-9_]+", token):
+                keys.add(group + token)
+    return keys
+
+
+def test_readme_documents_exactly_the_schema_keys():
+    assert _readme_config_keys() == set(_SCHEMA) | {"tolerance.<check-name>"}
 
 
 # --- CLI end-to-end ---------------------------------------------------------
@@ -241,6 +266,37 @@ def test_hj_compare_free_scenario(tmp_path):
     assert "constant_offset" in report["metadata"]
 
 
+def test_hj_compare_free_reuses_the_verify_all_checks(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "grid.x_min = -20\ngrid.x_max = 20\ngrid.n_points = 4001\n"
+        "compare.scenario = free\nhj.energy = 0.5\n",
+    )
+    out = tmp_path / "out"
+    assert main(["hj-compare", "--config", str(cfg), "--out", str(out)]) == 0
+    cli_rows = json.loads((out / "report.json").read_text())["checks"]
+    criterion = VerificationReport("verify-all", criterion_inertial(make_context()))
+    criterion_rows = json.loads(criterion.to_json())["checks"]
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "detail"} for r in rows]
+    assert strip(cli_rows) == strip(criterion_rows)
+
+
+def test_hj_compare_harmonic_ground_scenario(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "grid.x_min = -12\ngrid.x_max = 12\ngrid.n_points = 2401\n"
+        "potential.kind = harmonic\ncompare.scenario = harmonic-ground\n",
+    )
+    out = tmp_path / "out"
+    assert main(["hj-compare", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("phase_action_gap_vs_vq", True)
+    ]
+    assert report["metadata"]["ground_energy"] == pytest.approx(0.5, abs=1e-4)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
 def test_hj_compare_rejects_unknown_scenario(tmp_path, capsys):
     cfg = _write(tmp_path, "compare.scenario = tunneling\n")
     status = main(["hj-compare", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -337,3 +393,25 @@ def test_reports_are_byte_identical_modulo_volatile_fields(tmp_path):
         payload.pop("timing")
         payloads.append(json.dumps(payload, sort_keys=True))
     assert payloads[0] == payloads[1]
+
+
+def test_solver_failure_exits_2_with_one_line(tmp_path, capsys):
+    # walls of 1e308 overflow every shifted solve: inverse iteration
+    # cannot converge, which must surface as a one-line error, not a
+    # traceback
+    x = build_grid(-5.0, 5.0, 101).x
+    table = tmp_path / "walls.csv"
+    table.write_text(
+        "x,V\n"
+        + "".join(f"{xi!r},{1e308 if abs(xi) > 4 else 0.0!r}\n" for xi in x.tolist())
+    )
+    cfg = _write(
+        tmp_path,
+        "grid.x_min = -5\ngrid.x_max = 5\ngrid.n_points = 101\n"
+        f"potential.kind = tabulated\npotential.csv = {table}\neigen.k = 3\n",
+    )
+    status = main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("qclab: inverse iteration")

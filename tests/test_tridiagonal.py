@@ -5,7 +5,7 @@ scipy is the independent oracle here; production code must go through
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
@@ -34,12 +34,16 @@ def test_sturm_count_brackets_are_monotone():
     assert counts[0] == 0 and counts[-1] == 25
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(deadline=None, max_examples=25)
 @given(
     n=st.integers(8, 40),
     off=st.floats(-3.0, 3.0).filter(lambda e: abs(e) > 1e-3),
     seed=st.integers(0, 2**31),
 )
+# a near-singular shift drives the iterate's sum of squares past the
+# float range; the solver must rescale instead of overflowing
+@example(n=17, off=2.5889870457510002, seed=409348093)
 def test_lowest_eigenvalues_match_scipy(n, off, seed):
     diag = np.random.default_rng(seed).uniform(-5.0, 5.0, n)
     k = min(4, n)
