@@ -18,13 +18,13 @@ seed reproduces histograms bitwise on any platform.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
-from .hamilton_jacobi import verlet_step
 from .potentials import Potential, potential_energy, potential_force
 from .spectral import EigenPair
 from .states import WaveFunction
@@ -210,20 +210,23 @@ def run_classical_ensemble(
     so each sample's Hamiltonian equals its drawn energy exactly at
     launch; a drawn energy below V(x0) is an error.
 
-    The batch advances in lockstep with the same velocity-Verlet update
-    as integrate_hamilton but without storing trajectories: histograms,
-    energy drift, and |x| maxima are accumulated at every
-    store_every-th step (plus the final one).
+    The batch advances in lockstep without storing trajectories:
+    histograms, energy drift, and |x| maxima are accumulated at every
+    store_every-th step (plus the final one).  Positions and momenta are
+    updated in place through one scratch buffer, in the operation order
+    of hamilton_jacobi.verlet_step, so the final phase-space points are
+    bit-identical to integrate_hamilton's from the same launch state.
     """
-    if dt <= 0.0 or n_steps < 1 or store_every < 1:
-        raise ValueError("dt must be > 0 and step counts >= 1")
+    if not 0.0 < dt < math.inf or n_steps < 1 or store_every < 1:
+        raise ValueError("dt must be finite and > 0, and step counts >= 1")
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
     n = spec.n_samples
     energies = _draw(rng, spec)
     if x0_rule is None:
         x = np.zeros(n)
     else:
-        x = np.asarray(x0_rule(energies, rng), dtype=float)
+        # an owning copy: the loop below updates positions in place
+        x = np.array(x0_rule(energies, rng), dtype=float)
         if x.shape != (n,):
             raise ValueError("x0_rule must return one position per sample")
     v0 = potential_energy(potential, x, constants)
@@ -247,9 +250,18 @@ def run_classical_ensemble(
     hist_times = [0.0]
     histograms = [np.histogram(x, bins=grid.x)[0]]
 
+    half_dt = 0.5 * dt
+    scratch = np.empty(n)
     force = potential_force(potential, x, constants)
     for k in range(1, n_steps + 1):
-        x, p, force = verlet_step(potential, x, p, force, dt, constants)
+        np.multiply(force, half_dt, out=scratch)
+        p += scratch
+        np.multiply(p, dt, out=scratch)
+        scratch /= m
+        x += scratch
+        force = potential_force(potential, x, constants)
+        np.multiply(force, half_dt, out=scratch)
+        p += scratch
         if k % store_every == 0 or k == n_steps:
             np.maximum(drift, np.abs(hamiltonian(x, p) - h0) / np.abs(h0), out=drift)
             np.maximum(max_abs_x, np.abs(x), out=max_abs_x)

@@ -111,8 +111,9 @@ def verlet_step(
 ) -> tuple[Scalar, Scalar, Scalar]:
     """One velocity-Verlet update; returns (x, p, force at new x).
 
-    Shared by integrate_hamilton and the streaming ensemble runner so
-    both advance with bit-identical arithmetic.
+    The kernel of integrate_hamilton, for one orbit or a batch.  The
+    streaming ensemble runner repeats these operations in place, in the
+    same order, and the tests compare it against this kernel bit for bit.
     """
     m = constants.mass
     p_half = p + 0.5 * dt * force
@@ -133,10 +134,10 @@ def integrate_hamilton(
     """Velocity-Verlet orbit(s) with running action.
 
     x0/p0 may be floats (one orbit) or equal-shape arrays (a batch
-    advanced in lockstep — used by ensembles and characteristics).
+    advanced in lockstep — used by the characteristics sweep).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     m = constants.mass

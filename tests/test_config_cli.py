@@ -360,6 +360,22 @@ def test_ensemble_quick_run(tmp_path):
     assert (out / "histogram_t0000.csv").exists()
 
 
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, dt):
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC
+        + f"ensemble.k = 2\nensemble.n_samples = 500\nensemble.dt = {dt}\n"
+        + "ensemble.n_steps = 5\nensemble.store_every = 5\n",
+    )
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("qclab: dt must be finite")
+    assert not (out / "comparison.json").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _write(
         tmp_path,

@@ -5,6 +5,8 @@ import pytest
 from qclab import (
     EnsembleSpec,
     HarmonicPotential,
+    SmoothBarrierPotential,
+    TabulatedPotential,
     WeightingFunction,
     build_grid,
     build_superposition,
@@ -12,6 +14,8 @@ from qclab import (
     draw_sample_energies,
     energy_distribution,
     ensemble_from_impact_parameters,
+    integrate_hamilton,
+    potential_energy,
     project,
     run_classical_ensemble,
 )
@@ -154,6 +158,66 @@ def test_energy_below_potential_at_launch_is_an_error(constants):
             spec, HarmonicPotential(1.0), grid, 1e-3, 10, constants,
             x0_rule=lambda e, rng: np.full(e.size, 3.0),
         )
+
+
+def test_launch_positions_of_the_caller_are_not_modified(constants):
+    spec = EnsembleSpec(np.array([1.5]), np.array([1.0]), 200, 4)
+    grid = build_grid(-12.0, 12.0, 241)
+    launch = np.linspace(-1.0, 1.0, 200)
+    expected = launch.copy()
+    result = run_classical_ensemble(
+        spec, HarmonicPotential(1.0), grid, 1e-2, 30, constants,
+        x0_rule=lambda e, rng: launch,
+    )
+    assert np.array_equal(launch, expected)
+    assert not np.array_equal(result.final_positions, expected)
+
+
+_TABLE_X = build_grid(-6.0, 6.0, 241).x
+
+
+@pytest.mark.parametrize(
+    "potential, energies, x0_range",
+    [
+        (HarmonicPotential(1.0), [1.5, 2.5, 3.5], (-1.0, 1.0)),
+        # launched right of the barrier: some samples cross it, some reflect
+        (SmoothBarrierPotential(1.0, 0.5, 0.0), [0.5, 1.2, 2.0], (2.0, 3.0)),
+        (
+            TabulatedPotential(_TABLE_X, 0.5 * _TABLE_X**2 + 0.3 * np.sin(2.0 * _TABLE_X)),
+            [1.0, 2.0, 3.0],
+            (-0.5, 0.5),
+        ),
+    ],
+    ids=["harmonic", "smooth-barrier", "tabulated"],
+)
+def test_ensemble_orbits_equal_integrate_hamilton_bitwise(
+    potential, energies, x0_range, constants
+):
+    # the ensemble's in-place Verlet loop must reproduce verlet_step,
+    # the kernel of integrate_hamilton, bit for bit
+    spec = EnsembleSpec(np.array(energies), np.full(3, 1.0 / 3.0), 64, 19)
+    grid = build_grid(-8.0, 8.0, 161)
+    dt, n_steps = 1e-2, 300
+
+    def x0_rule(e, rng):
+        return rng.uniform(*x0_range, size=e.size)
+
+    result = run_classical_ensemble(
+        spec, potential, grid, dt, n_steps, constants, x0_rule=x0_rule,
+        store_every=50,
+    )
+    # the documented draw order: energies, then x0_rule, then signs
+    rng = np.random.Generator(np.random.Philox(spec.rng_seed))
+    drawn = spec.energies[rng.choice(3, size=spec.n_samples, p=spec.probabilities)]
+    x0 = x0_rule(drawn, rng)
+    signs = np.where(rng.random(spec.n_samples) < 0.5, -1.0, 1.0)
+    kinetic = drawn - potential_energy(potential, x0, constants)
+    p0 = signs * np.sqrt(2.0 * constants.mass * kinetic)
+
+    traj = integrate_hamilton(potential, x0, p0, dt, n_steps, constants)
+    assert np.array_equal(result.sample_energies, drawn)
+    assert np.array_equal(result.final_positions, traj.positions[-1])
+    assert np.array_equal(result.final_momenta, traj.momenta[-1])
 
 
 def test_histograms_count_every_sample(constants):

@@ -6,6 +6,8 @@ rotate by exactly theta = -2 atan(E dt / 2hbar) per step.  That gives a
 closed-form oracle for the evolved state with no discretization slack
 beyond the linear solves.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -84,14 +86,24 @@ def test_store_every_keeps_first_and_last(harmonic_setup, constants):
 def test_evolve_validates_arguments(harmonic_setup, constants):
     v, pairs = harmonic_setup
     psi = pairs[0].state
-    with pytest.raises(ValueError, match="dt"):
-        evolve(psi, v, 0.0, 5, constants)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            evolve(psi, v, dt, 5, constants)
     with pytest.raises(ValueError, match="n_steps"):
         evolve(psi, v, 1e-3, 0, constants)
     with pytest.raises(ValueError, match="store_every"):
         evolve(psi, v, 1e-3, 5, constants, store_every=0)
     with pytest.raises(ValueError, match="grid"):
         evolve(psi, v[:-1], 1e-3, 5, constants)
+
+
+def test_non_finite_input_is_caught_at_a_stored_slice(harmonic_setup, constants):
+    v, pairs = harmonic_setup
+    values = pairs[0].state.values.copy()
+    values[1200] = np.nan
+    psi = WaveFunction(values, pairs[0].state.grid, 0.0)
+    with pytest.raises(RuntimeError, match="non-finite values by step 3"):
+        evolve(psi, v, 1e-3, 7, constants, store_every=3)
 
 
 def test_position_and_momentum_of_a_packet(constants):

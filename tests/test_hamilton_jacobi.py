@@ -94,8 +94,9 @@ def test_trajectory_state_accessor(constants):
 
 
 def test_integrate_hamilton_validates_arguments(constants):
-    with pytest.raises(ValueError, match="dt"):
-        integrate_hamilton(FreePotential(), 0.0, 1.0, 0.0, 5, constants)
+    for dt in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            integrate_hamilton(FreePotential(), 0.0, 1.0, dt, 5, constants)
     with pytest.raises(ValueError, match="n_steps"):
         integrate_hamilton(FreePotential(), 0.0, 1.0, 0.1, 0, constants)
     with pytest.raises(ValueError, match="finite"):
