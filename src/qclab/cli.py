@@ -35,6 +35,7 @@ from .ensemble import (
     EnsembleSpec,
     WeightingFunction,
     build_superposition,
+    check_run_arguments,
     compare_energy_statistics,
     energy_distribution,
     nearest_level_counts,
@@ -112,6 +113,10 @@ def _load_wavefunction_csv(path: Path, grid: Grid1D) -> WaveFunction:
             f"{path}: x column does not match the configured grid "
             f"({data['x'].size} points vs {grid.n_points})"
         )
+    bad = ~(np.isfinite(data["re"]) & np.isfinite(data["im"]))
+    if bad.any():
+        x_bad = float(data["x"][bad][0])
+        raise ConfigError(f"{path}: non-finite re/im value at x = {x_bad!r}")
     return WaveFunction(data["re"] + 1j * data["im"], grid)
 
 
@@ -494,31 +499,26 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
     k = int(config.get("ensemble.k", 8))
     if k <= 0:
         raise ConfigError(f"ensemble.k must be >= 1, got {k}")
-    pairs = _solve_pairs(config, k)
-    energies = np.array([pair.energy for pair in pairs])
     mean = float(config.get("ensemble.mean_energy", 4.0))
     sigma = float(config.get("ensemble.sigma_energy", 1.5))
     if sigma <= 0.0:
         raise ConfigError(f"ensemble.sigma_energy must be positive, got {sigma}")
+    n_samples = int(config.get("ensemble.n_samples", 100_000))
+    dt = float(config.get("ensemble.dt", 1e-3))
+    n_steps = int(config.get("ensemble.n_steps", 6283))
+    store_every = int(config.get("ensemble.store_every", 100))
+    # reject bad run arguments before paying for the eigensolve
+    check_run_arguments(dt, n_steps, store_every, n_samples)
+    pairs = _solve_pairs(config, k)
+    energies = np.array([pair.energy for pair in pairs])
     raw = np.exp(-((energies - mean) ** 2) / (2.0 * sigma**2))
     weights = WeightingFunction(np.sqrt(raw / raw.sum()).astype(complex))
     quantum = energy_distribution(weights, pairs)
     probabilities = np.abs(weights.coefficients) ** 2
 
-    spec = EnsembleSpec(
-        energies,
-        probabilities,
-        int(config.get("ensemble.n_samples", 100_000)),
-        config.seed,
-    )
+    spec = EnsembleSpec(energies, probabilities, n_samples, config.seed)
     result = run_classical_ensemble(
-        spec,
-        config.potential,
-        grid,
-        float(config.get("ensemble.dt", 1e-3)),
-        int(config.get("ensemble.n_steps", 6283)),
-        constants,
-        store_every=int(config.get("ensemble.store_every", 100)),
+        spec, config.potential, grid, dt, n_steps, constants, store_every=store_every
     )
 
     for idx in range(result.histogram_times.size):

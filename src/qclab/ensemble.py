@@ -191,6 +191,17 @@ class EnsembleResult:
     metadata: dict = field(repr=False)
 
 
+def check_run_arguments(
+    dt: float, n_steps: int, store_every: int, n_samples: int = 1
+) -> None:
+    """The argument checks of run_classical_ensemble and EnsembleSpec,
+    for callers that want them before building the spec."""
+    if not 0.0 < dt < math.inf or n_steps < 1 or store_every < 1:
+        raise ValueError("dt must be finite and > 0, and step counts >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
+
 def run_classical_ensemble(
     spec: EnsembleSpec,
     potential: Potential,
@@ -217,8 +228,7 @@ def run_classical_ensemble(
     of hamilton_jacobi.verlet_step, so the final phase-space points are
     bit-identical to integrate_hamilton's from the same launch state.
     """
-    if not 0.0 < dt < math.inf or n_steps < 1 or store_every < 1:
-        raise ValueError("dt must be finite and > 0, and step counts >= 1")
+    check_run_arguments(dt, n_steps, store_every)
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
     n = spec.n_samples
     energies = _draw(rng, spec)

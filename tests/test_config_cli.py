@@ -1,12 +1,14 @@
 """Config parsing and the CLI subcommands, driven in-process through main()."""
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qclab import ConfigError, load_run_config, parse_config_text
+import qclab.spectral
+from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
 from qclab.cli import main
 from qclab.config import _SCHEMA, RunConfig
 from qclab.grids import build_grid
@@ -227,11 +229,11 @@ def test_failing_check_exits_1_and_scale_relaxes_it(tmp_path, capsys):
         tmp_path,
         SMALL_HARMONIC
         + "evolve.state = eigenstate\nevolve.n_steps = 20\n"
-        + "tolerance.norm_drift = 1e-30\n",
+        + "tolerance.energy_drift = 1e-30\n",
     )
     status = main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "a")])
     assert status == 1
-    assert "[FAIL] norm_drift" in capsys.readouterr().out
+    assert "[FAIL] energy_drift" in capsys.readouterr().out
     status = main(
         ["evolve", "--config", str(cfg), "--out", str(tmp_path / "b"),
          "--tolerance-scale", "1e25"]
@@ -361,12 +363,19 @@ def test_ensemble_quick_run(tmp_path):
 
 
 @pytest.mark.parametrize("dt", ["nan", "inf"])
-def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, dt):
+def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, monkeypatch, dt):
+    # the run arguments are checked before the eigensolve is paid for
+    calls = []
+    solve = qclab.spectral.lowest_eigenpairs
+    monkeypatch.setattr(
+        qclab.spectral,
+        "lowest_eigenpairs",
+        lambda *args: calls.append(args) or solve(*args),
+    )
     cfg = _write(
         tmp_path,
-        SMALL_HARMONIC
-        + f"ensemble.k = 2\nensemble.n_samples = 500\nensemble.dt = {dt}\n"
-        + "ensemble.n_steps = 5\nensemble.store_every = 5\n",
+        "grid.x_min = -5\ngrid.x_max = 5\ngrid.n_points = 201\n"
+        f"potential.kind = harmonic\nensemble.dt = {dt}\n",
     )
     out = tmp_path / "out"
     assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
@@ -374,6 +383,7 @@ def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, dt):
     assert len(err) == 1
     assert err[0].startswith("qclab: dt must be finite")
     assert not (out / "comparison.json").exists()
+    assert calls == []
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -411,23 +421,66 @@ def test_reports_are_byte_identical_modulo_volatile_fields(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_solver_failure_exits_2_with_one_line(tmp_path, capsys):
-    # walls of 1e308 overflow every shifted solve: inverse iteration
-    # cannot converge, which must surface as a one-line error, not a
-    # traceback
-    x = build_grid(-5.0, 5.0, 101).x
+def _wall_table(tmp_path: Path, n_points: int, wall: float) -> Path:
+    """Config for `eigen` on a tabulated well: V = wall for |x| > 4."""
+    x = build_grid(-5.0, 5.0, n_points).x
     table = tmp_path / "walls.csv"
     table.write_text(
         "x,V\n"
-        + "".join(f"{xi!r},{1e308 if abs(xi) > 4 else 0.0!r}\n" for xi in x.tolist())
+        + "".join(f"{xi!r},{wall if abs(xi) > 4 else 0.0!r}\n" for xi in x.tolist())
     )
-    cfg = _write(
+    return _write(
         tmp_path,
-        "grid.x_min = -5\ngrid.x_max = 5\ngrid.n_points = 101\n"
+        f"grid.x_min = -5\ngrid.x_max = 5\ngrid.n_points = {n_points}\n"
         f"potential.kind = tabulated\npotential.csv = {table}\neigen.k = 3\n",
     )
+
+
+@pytest.mark.parametrize(
+    "n_points, wall, ground",
+    [
+        # dense np.linalg.eigvalsh of the interior matrix gives the same
+        (101, 1e308, 0.0733819),
+        # next to the 1e6-wall level 0.0752114
+        (201, 1e10, 0.0752118),
+    ],
+)
+def test_eigen_solves_hard_wall_tables(tmp_path, n_points, wall, ground):
+    cfg = _wall_table(tmp_path, n_points, wall)
+    out = tmp_path / "o"
+    assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 0
+    energies = json.loads((out / "eigenvalues.json").read_text())
+    assert energies[0] == pytest.approx(ground, abs=1e-7)
+
+
+def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # a failed eigensolve must surface as a one-line error, not a traceback
+    def fail(diag, off, k):
+        raise EigensolverError("LAPACK stebz/stein failed: 1 eigenvector")
+
+    monkeypatch.setattr(qclab.spectral, "lowest_eigenpairs", fail)
+    cfg = _wall_table(tmp_path, 101, 1.0)
     status = main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert status == 2
     err = capsys.readouterr().err.splitlines()
+    assert err == ["qclab: LAPACK stebz/stein failed: 1 eigenvector"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_wavefunction_csv_rejects_non_finite_cells(tmp_path, capsys, cell):
+    x = build_grid(-5.0, 5.0, 101).x.tolist()
+    rows = [f"{xi!r},{math.exp(-xi * xi)!r},0.0" for xi in x]
+    rows[50] = f"{x[50]!r},{cell},0.0"
+    state = tmp_path / "psi.csv"
+    state.write_text("x,re,im\n" + "\n".join(rows) + "\n")
+    cfg = _write(
+        tmp_path,
+        "grid.x_min = -5\ngrid.x_max = 5\ngrid.n_points = 101\n"
+        f"evolve.state = csv\nevolve.csv = {state}\nevolve.n_steps = 5\n",
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("qclab: inverse iteration")
+    assert err[0].startswith("qclab: config error: ")
+    assert err[0].endswith(f"non-finite re/im value at x = {x[50]!r}")

@@ -1,14 +1,22 @@
-"""Eigensolver behavior on physical Hamiltonians.
+"""Eigensolver behavior: the tridiagonal contract and physical Hamiltonians.
 
-The box spectrum is the sharpest oracle available: for V = 0 with walls
-at the grid ends, the discrete eigenvalues are known in closed form
-(eigenvalues of the Dirichlet second-difference matrix), so the solver
-must reproduce them essentially to rounding, not just to O(dx^2).
+The contract of `tridiagonal.lowest_eigenpairs` is checked against a
+dense `np.linalg.eigh`, which shares no code path with LAPACK's
+tridiagonal bisection.  The box spectrum is the sharpest oracle on the
+physical side: for V = 0 with walls at the grid ends, the discrete
+eigenvalues are known in closed form (eigenvalues of the Dirichlet
+second-difference matrix), so the solver must reproduce them essentially
+to rounding, not just to O(dx^2).
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
+import qclab.tridiagonal
 from qclab import (
+    EigensolverError,
     HarmonicPotential,
     InfiniteWellPotential,
     SmoothBarrierPotential,
@@ -22,6 +30,110 @@ from qclab import (
     stationary_scattering_state,
 )
 from qclab.states import harmonic_eigenfunction
+from qclab.tridiagonal import lowest_eigenpairs
+
+EPS = np.finfo(float).eps
+
+
+def _max_residual(diag, off, values, vectors):
+    """max |T v_j - lambda_j v_j| over the returned pairs."""
+    t_v = diag[:, None] * vectors
+    t_v[1:] += off * vectors[:-1]
+    t_v[:-1] += off * vectors[1:]
+    return np.max(np.abs(t_v - values * vectors))
+
+
+# --- tridiagonal.lowest_eigenpairs contract ----------------------------------
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(deadline=None, max_examples=25)
+@given(
+    n=st.integers(8, 40),
+    off=st.floats(-3.0, 3.0).filter(lambda e: abs(e) > 1e-3),
+    seed=st.integers(0, 2**31),
+)
+def test_lowest_eigenpairs_match_dense_eigh(n, off, seed):
+    diag = np.random.default_rng(seed).uniform(-5.0, 5.0, n)
+    k = min(4, n)
+    result = lowest_eigenpairs(diag, off, k)
+    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    ref_vals, ref_vecs = np.linalg.eigh(dense)
+    scale = np.max(np.abs(diag)) + 2.0 * abs(off)
+    assert np.allclose(result.eigenvalues, ref_vals[:k], rtol=0.0, atol=1e-9 * scale)
+    for j in range(k):
+        # sign-free comparison; degenerate clusters would rotate, but a
+        # random diagonal keeps the spectrum simple
+        overlap = abs(result.eigenvectors[:, j] @ ref_vecs[:, j])
+        assert overlap >= 1.0 - 1e-8
+
+
+def test_eigenvectors_are_orthonormal_and_low_residual():
+    rng = np.random.default_rng(3)
+    diag = rng.uniform(0.0, 8.0, 120)
+    off = -2.25
+    k = 6
+    result = lowest_eigenpairs(diag, off, k)
+    gram = result.eigenvectors.T @ result.eigenvectors
+    assert np.max(np.abs(gram - np.eye(k))) < 1e-10
+    scale = np.max(np.abs(diag)) + 2.0 * abs(off)
+    residual = _max_residual(diag, off, result.eigenvalues, result.eigenvectors)
+    assert residual <= 20 * EPS * scale
+
+
+def test_residual_reaches_the_roundoff_floor():
+    # a few eps |T| at sizes up to a fine physical grid; the Rayleigh
+    # quotient sharpens eigenvalues that bisection leaves eps |T| wide
+    for seed, n, off, k in [(0, 400, 1.3, 5), (11, 2399, -5000.0, 8)]:
+        diag = np.random.default_rng(seed).uniform(-4.0, 4.0, n)
+        result = lowest_eigenpairs(diag, off, k)
+        scale = np.max(np.abs(diag)) + 2.0 * abs(off)
+        residual = _max_residual(diag, off, result.eigenvalues, result.eigenvectors)
+        assert residual <= 20 * EPS * scale
+        gram = result.eigenvectors.T @ result.eigenvectors
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-10
+
+
+def test_low_eigenvalues_are_relatively_accurate():
+    # bisection alone resolves eigenvalues to eps |T| absolute, ~1e-10 of
+    # the lowest Dirichlet level at n = 2001; the Rayleigh quotient of the
+    # eigenvector is accurate to the square of its error and gets them to
+    # a few 1e-14 relative.  Closed form: 4 sin^2(j pi / (2 (n + 1))).
+    n = 2001
+    result = lowest_eigenpairs(np.full(n, 2.0), -1.0, 5)
+    exact = 4.0 * np.sin(np.arange(1, 6) * np.pi / (2 * (n + 1))) ** 2
+    assert np.max(np.abs(result.eigenvalues / exact - 1.0)) < 1e-12
+
+
+def test_eigenvalues_ascend_through_degenerate_doublets():
+    # a deep double well splits its doublets far below eps |T|, so the
+    # two Rayleigh quotients of a doublet can come out in either order
+    dx = 0.01
+    x = np.linspace(-4.0, 4.0, 801)[1:-1]
+    diag = 1.0 / dx**2 + 150.0 * ((x / 2.0) ** 2 - 1.0) ** 2
+    result = lowest_eigenpairs(diag, -0.5 / dx**2, 6)
+    assert np.all(np.diff(result.eigenvalues) >= 0.0)
+    gram = result.eigenvectors.T @ result.eigenvectors
+    assert np.max(np.abs(gram - np.eye(6))) < 1e-10
+
+
+def test_lapack_failure_raises_eigensolver_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+
+    monkeypatch.setattr(qclab.tridiagonal, "eigh_tridiagonal", fail)
+    with pytest.raises(EigensolverError, match="1 eigenvectors failed"):
+        lowest_eigenpairs(np.arange(5.0), 1.0, 2)
+
+
+def test_requesting_too_many_pairs_fails_loudly():
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(np.arange(5.0), 1.0, 6)
+    with pytest.raises(ValueError):
+        lowest_eigenpairs(np.arange(5.0), 1.0, 0)
+
+
+# --- physical Hamiltonians ----------------------------------------------------
 
 
 def test_box_levels_match_the_discrete_closed_form(constants):
