@@ -195,7 +195,10 @@ class RunConfig:
             path = Path(csv_path)
             if not path.exists():
                 raise ConfigError(f"potential.csv does not exist: {path}")
-            return load_tabulated_csv(path)
+            try:
+                return load_tabulated_csv(path)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         raise ConfigError(f"unknown potential.kind {kind!r}")
 
     @property

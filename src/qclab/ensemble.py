@@ -130,6 +130,8 @@ class EnsembleSpec:
         p = np.asarray(self.probabilities, dtype=float)
         if e.ndim != 1 or e.shape != p.shape or e.size == 0:
             raise ValueError("energies and probabilities must be equal-length 1D")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(p))):
+            raise ValueError("energies and probabilities must be finite")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
@@ -219,9 +221,19 @@ def run_classical_ensemble(
     x = 0), then momentum signs (+/- equiprobable).  The momentum
     magnitude is set by energy conservation, p0 = sqrt(2m (E - V(x0))),
     so each sample's Hamiltonian equals its drawn energy exactly at
-    launch; a drawn energy below V(x0) is an error.
+    launch; a drawn energy below V(x0), or a non-finite launch position,
+    is an error.
 
-    The batch advances in lockstep without storing trajectories:
+    Verlet is deterministic, so samples that share a launch state share
+    their whole orbit.  The launch rows (x0, p0) are deduplicated by their
+    bit patterns (so -0.0 and +0.0 stay apart), and each distinct row is
+    integrated once: with the default x0_rule a k-level spec has at most
+    2k orbits however many samples it draws; a continuous x0_rule gets
+    one orbit per sample.  Histograms weight each orbit by its sample
+    count, and the per-sample columns are scattered back, so every output
+    equals that of integrating all n_samples rows.
+
+    The orbits advance in lockstep without storing trajectories:
     histograms, energy drift, and |x| maxima are accumulated at every
     store_every-th step (plus the final one).  Positions and momenta are
     updated in place through one scratch buffer, in the operation order
@@ -233,13 +245,18 @@ def run_classical_ensemble(
     n = spec.n_samples
     energies = _draw(rng, spec)
     if x0_rule is None:
-        x = np.zeros(n)
+        x0 = np.zeros(n)
     else:
-        # an owning copy: the loop below updates positions in place
-        x = np.array(x0_rule(energies, rng), dtype=float)
-        if x.shape != (n,):
+        x0 = np.asarray(x0_rule(energies, rng), dtype=float)
+        if x0.shape != (n,):
             raise ValueError("x0_rule must return one position per sample")
-    v0 = potential_energy(potential, x, constants)
+        if not np.all(np.isfinite(x0)):
+            bad = int(np.argmin(np.isfinite(x0)))
+            raise ValueError(
+                f"sample {bad}: x0_rule returned the non-finite launch "
+                f"position {x0[bad]}"
+            )
+    v0 = potential_energy(potential, x0, constants)
     kinetic = energies - v0
     if np.any(kinetic < 0.0):
         bad = int(np.argmin(kinetic))
@@ -249,19 +266,31 @@ def run_classical_ensemble(
         )
     m = constants.mass
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    p = signs * np.sqrt(2.0 * m * kinetic)
+    launch = np.column_stack((x0, signs * np.sqrt(2.0 * m * kinetic)))
+    _, first, inverse, counts = np.unique(
+        launch.view(np.dtype((np.void, launch.itemsize * 2))).ravel(),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    # owning copies of the distinct launch states: the loop updates them
+    x = launch[first, 0]
+    p = launch[first, 1]
 
     def hamiltonian(xv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pv * pv / (2.0 * m) + potential_energy(potential, xv, constants)
 
+    def histogram(xv: np.ndarray) -> np.ndarray:
+        return np.histogram(xv, bins=grid.x, weights=counts)[0].astype(np.int64)
+
     h0 = hamiltonian(x, p)
-    drift = np.zeros(n)
+    drift = np.zeros(x.size)
     max_abs_x = np.abs(x)
     hist_times = [0.0]
-    histograms = [np.histogram(x, bins=grid.x)[0]]
+    histograms = [histogram(x)]
 
     half_dt = 0.5 * dt
-    scratch = np.empty(n)
+    scratch = np.empty(x.size)
     force = potential_force(potential, x, constants)
     for k in range(1, n_steps + 1):
         np.multiply(force, half_dt, out=scratch)
@@ -276,7 +305,7 @@ def run_classical_ensemble(
             np.maximum(drift, np.abs(hamiltonian(x, p) - h0) / np.abs(h0), out=drift)
             np.maximum(max_abs_x, np.abs(x), out=max_abs_x)
             hist_times.append(k * dt)
-            histograms.append(np.histogram(x, bins=grid.x)[0])
+            histograms.append(histogram(x))
 
     metadata = {
         "rng_algorithm": RNG_ALGORITHM,
@@ -291,10 +320,10 @@ def run_classical_ensemble(
         histograms=np.asarray(histograms),
         bin_edges=grid.x.copy(),
         sample_energies=energies,
-        energy_drift=drift,
-        max_abs_position=max_abs_x,
-        final_positions=x,
-        final_momenta=p,
+        energy_drift=drift[inverse],
+        max_abs_position=max_abs_x[inverse],
+        final_positions=x[inverse],
+        final_momenta=p[inverse],
         metadata=metadata,
     )
 

@@ -466,6 +466,23 @@ def test_solver_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert err == ["qclab: LAPACK stebz/stein failed: 1 eigenvector"]
 
 
+@pytest.mark.parametrize("column", [0, 1], ids=["x", "V"])
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_tabulated_csv_rejects_non_finite_cells(tmp_path, capsys, cell, column):
+    cfg = _wall_table(tmp_path, 101, 1e6)
+    table = tmp_path / "walls.csv"
+    lines = table.read_text().splitlines()
+    cells = lines[51].split(",")  # row 52 of the file: x = 0
+    cells[column] = cell
+    lines[51] = ",".join(cells)
+    table.write_text("\n".join(lines) + "\n")
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"qclab: config error: {table}: row 52: non-finite x or V: {cells!r}"
+    ]
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_wavefunction_csv_rejects_non_finite_cells(tmp_path, capsys, cell):
     x = build_grid(-5.0, 5.0, 101).x.tolist()

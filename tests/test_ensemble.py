@@ -92,6 +92,10 @@ def test_spec_validation():
         EnsembleSpec(e, np.array([1.0]), 10, 0)
     with pytest.raises(ValueError, match="n_samples"):
         EnsembleSpec(e, np.array([0.5, 0.5]), 0, 0)
+    for bad_e, bad_p in [([0.5, np.nan], [0.5, 0.5]), ([0.5, np.inf], [0.5, 0.5]),
+                         ([0.5, 1.5], [np.nan, 1.0])]:
+        with pytest.raises(ValueError, match="must be finite"):
+            EnsembleSpec(np.array(bad_e), np.array(bad_p), 10, 0)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -160,6 +164,23 @@ def test_energy_below_potential_at_launch_is_an_error(constants):
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_launch_position_is_an_error(bad, constants):
+    spec = EnsembleSpec(np.array([1.5]), np.array([1.0]), 10, 0)
+    grid = build_grid(-12.0, 12.0, 241)
+
+    def x0_rule(e, rng):
+        x0 = np.zeros(e.size)
+        x0[3] = bad
+        return x0
+
+    with pytest.raises(ValueError, match="sample 3: .*non-finite launch position"):
+        run_classical_ensemble(
+            spec, HarmonicPotential(1.0), grid, 1e-3, 10, constants,
+            x0_rule=x0_rule,
+        )
+
+
 def test_launch_positions_of_the_caller_are_not_modified(constants):
     spec = EnsembleSpec(np.array([1.5]), np.array([1.0]), 200, 4)
     grid = build_grid(-12.0, 12.0, 241)
@@ -218,6 +239,54 @@ def test_ensemble_orbits_equal_integrate_hamilton_bitwise(
     assert np.array_equal(result.sample_energies, drawn)
     assert np.array_equal(result.final_positions, traj.positions[-1])
     assert np.array_equal(result.final_momenta, traj.momenta[-1])
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        HarmonicPotential(1.0),
+        TabulatedPotential(_TABLE_X, 0.5 * _TABLE_X**2 + 0.3 * np.sin(2.0 * _TABLE_X)),
+    ],
+    ids=["harmonic", "tabulated"],
+)
+def test_repeated_launches_equal_one_integrate_hamilton_per_state(potential, constants):
+    # default x0_rule: every sample starts at x = 0, so the 2000 samples
+    # share at most 6 launch states; each state's scalar orbit is the
+    # reference for every sample that starts there
+    spec = EnsembleSpec(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5]), 2000, 23)
+    grid = build_grid(-6.0, 6.0, 241)
+    dt, n_steps, store_every = 1e-2, 300, 50
+    result = run_classical_ensemble(
+        spec, potential, grid, dt, n_steps, constants, store_every=store_every
+    )
+    # the documented draw order without an x0_rule: energies, then signs
+    rng = np.random.Generator(np.random.Philox(spec.rng_seed))
+    drawn = spec.energies[rng.choice(3, size=spec.n_samples, p=spec.probabilities)]
+    signs = np.where(rng.random(spec.n_samples) < 0.5, -1.0, 1.0)
+    v0 = potential_energy(potential, 0.0, constants)
+    p0 = signs * np.sqrt(2.0 * constants.mass * (drawn - v0))
+
+    stored = [0] + [
+        k for k in range(1, n_steps + 1) if k % store_every == 0 or k == n_steps
+    ]
+    orbits = {}
+    for p in p0.tolist():
+        if p not in orbits:
+            orbits[p] = integrate_hamilton(potential, 0.0, p, dt, n_steps, constants)
+    assert len(orbits) == 6
+    positions = np.array([orbits[p].positions for p in p0.tolist()]).T
+    momenta = np.array([orbits[p].momenta for p in p0.tolist()]).T
+
+    assert np.array_equal(result.final_positions, positions[-1])
+    assert np.array_equal(result.final_momenta, momenta[-1])
+    x_s, p_s = positions[stored], momenta[stored]
+    h = p_s * p_s / (2.0 * constants.mass) + potential_energy(potential, x_s, constants)
+    assert np.array_equal(result.energy_drift, np.max(np.abs(h - h[0]) / np.abs(h[0]), axis=0))
+    assert np.array_equal(result.max_abs_position, np.max(np.abs(x_s), axis=0))
+    assert result.histograms.dtype == np.int64
+    assert len(result.histograms) == len(stored)
+    for hist, x in zip(result.histograms, x_s):
+        assert np.array_equal(hist, np.histogram(x, bins=grid.x)[0])
 
 
 def test_histograms_count_every_sample(constants):
