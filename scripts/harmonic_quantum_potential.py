@@ -19,7 +19,6 @@ from qclab import (
     assemble_hamiltonian,
     build_grid,
     decompose,
-    eval_potential,
     quantum_potential,
     solve_lowest_eigenpairs,
     total_potential,
@@ -39,7 +38,7 @@ def main() -> None:
     constants = PhysicalConstants()
     grid = build_grid(-12.0, 12.0, 2401)
     potential = HarmonicPotential(args.omega)
-    v = eval_potential(potential, grid, constants)
+    v = potential.on_grid(grid, constants)
     h = assemble_hamiltonian(potential, grid, constants)
     pairs = solve_lowest_eigenpairs(h, args.levels)
 

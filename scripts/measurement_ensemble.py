@@ -18,6 +18,7 @@ import numpy as np
 from qclab import (
     EnsembleSpec,
     HarmonicPotential,
+    RunConfig,
     WeightingFunction,
     assemble_hamiltonian,
     build_grid,
@@ -31,7 +32,7 @@ from qclab.grids import PhysicalConstants
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=20260814)
+    parser.add_argument("--seed", type=int, default=RunConfig().seed)
     parser.add_argument("--levels", type=int, default=8)
     args = parser.parse_args()
 

@@ -55,10 +55,7 @@ from .potentials import (
     Potential,
     SmoothBarrierPotential,
     TabulatedPotential,
-    eval_potential,
     load_tabulated_csv,
-    potential_energy,
-    potential_force,
 )
 from .report import CheckResult, VerificationReport, check_against
 from .spectral import (

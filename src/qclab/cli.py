@@ -1,9 +1,10 @@
 """Command-line entry point: every scenario as a config-driven subcommand.
 
 Each subcommand reads one `key = value` config file (all keys optional,
-defaults are sensible), writes machine-readable artifacts (CSV for
-numeric fields, JSON for summaries) plus a `report.json` check report
-into the output directory, and prints one [PASS]/[FAIL] line per check.
+defaults come from the config schema), writes machine-readable artifacts
+(CSV for numeric fields, JSON for summaries) plus a `report.json` check
+report into the output directory, and prints one [PASS]/[FAIL] line per
+check.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error.  Identical config and seed give byte-identical reports up
@@ -58,7 +59,7 @@ from .madelung import (
     verify_modified_hj,
     verify_oscillator_identity,
 )
-from .potentials import HarmonicPotential, eval_potential, potential_energy
+from .potentials import HarmonicPotential
 from .report import VerificationReport
 from .spectral import (
     EigenPair,
@@ -135,7 +136,7 @@ def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
 
 
 def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
-    k = int(config.get("eigen.k", 5))
+    k = config.get("eigen.k")
     if k <= 0:
         raise ConfigError(f"eigen.k must be >= 1, got {k}")
     pairs = _solve_pairs(config, k)
@@ -169,18 +170,18 @@ def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> Verification
 
 
 def _initial_state(config: RunConfig) -> WaveFunction:
-    kind = str(config.get("evolve.state", "gaussian")).lower()
+    kind = config.get("evolve.state").lower()
     grid, constants = config.grid, config.constants
     if kind == "gaussian":
         return gaussian_packet(
             grid,
-            float(config.get("evolve.center", 0.0)),
-            float(config.get("evolve.momentum", 0.0)),
-            float(config.get("evolve.width", 1.0)),
+            config.get("evolve.center"),
+            config.get("evolve.momentum"),
+            config.get("evolve.width"),
             constants,
         )
     if kind == "eigenstate":
-        n = int(config.get("evolve.n", 0))
+        n = config.get("evolve.n")
         if n < 0:
             raise ConfigError(f"evolve.n must be >= 0, got {n}")
         return _solve_pairs(config, n + 1)[n].state
@@ -194,11 +195,11 @@ def _initial_state(config: RunConfig) -> WaveFunction:
 
 def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
     grid, constants = config.grid, config.constants
-    v = eval_potential(config.potential, grid, constants)
+    v = config.potential.on_grid(grid, constants)
     psi0 = _initial_state(config)
-    dt = float(config.get("evolve.dt", 1e-3))
-    n_steps = int(config.get("evolve.n_steps", 1000))
-    store_every = int(config.get("evolve.store_every", 100))
+    dt = config.get("evolve.dt")
+    n_steps = config.get("evolve.n_steps")
+    store_every = config.get("evolve.store_every")
     result = evolve(psi0, v, dt, n_steps, constants, store_every=store_every)
 
     for k, w in enumerate(result.slices):
@@ -219,7 +220,7 @@ def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificatio
     report = VerificationReport(
         scenario="evolve",
         metadata={
-            "state": str(config.get("evolve.state", "gaussian")),
+            "state": config.get("evolve.state"),
             "dt": dt,
             "n_steps": n_steps,
             "store_every": store_every,
@@ -246,18 +247,20 @@ def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificatio
 
 def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
     grid, constants = config.grid, config.constants
-    kind = str(
-        config.get("madelung.state", "csv" if config.get("madelung.csv") else "plane_wave")
-    ).lower()
+    kind = config.get("madelung.state")
+    if kind is None:
+        kind = "csv" if config.get("madelung.csv") else "plane_wave"
+    kind = kind.lower()
     energy = config.get("madelung.energy")
     oscillator_index = None
 
     if kind == "plane_wave":
-        energy = float(energy if energy is not None else 0.5)
+        # a plane wave needs an energy; a csv state may go without
+        energy = 0.5 if energy is None else energy
         psi = plane_wave(grid, energy, constants)
     elif kind == "harmonic":
-        n = int(config.get("madelung.n", 0))
-        omega = float(config.get("potential.omega"))
+        n = config.get("madelung.n")
+        omega = config.get("potential.omega")
         psi = harmonic_eigenfunction(n, grid, omega, constants)
         energy = (n + 0.5) * constants.hbar * omega
         oscillator_index = n
@@ -266,12 +269,11 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
         if not path:
             raise ConfigError("madelung.state=csv needs madelung.csv")
         psi = _load_wavefunction_csv(Path(path), grid)
-        energy = float(energy) if energy is not None else None
     else:
         raise ConfigError(f"unknown madelung.state {kind!r}")
 
     polar = decompose(psi, constants)
-    v = eval_potential(config.potential, grid, constants)
+    v = config.potential.on_grid(grid, constants)
     v_q = quantum_potential(polar, constants)
     v_t = total_potential(v_q, v)
     _write_columns(
@@ -307,7 +309,7 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
     if oscillator_index is not None:
         pair = EigenPair(energy=energy, state=psi, index=oscillator_index)
         summary["oscillator_identity_residual"] = verify_oscillator_identity(
-            oscillator_index, pair, float(config.get("potential.omega")), constants
+            oscillator_index, pair, config.get("potential.omega"), constants
         )
     _write_json(out / "summary.json", summary)
 
@@ -319,7 +321,7 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
             "lambda e^{i phi / hbar} reproduces psi",
         )
     )
-    if str(config.get("potential.kind")) == "free" and energy is not None:
+    if config.get("potential.kind") == "free" and energy is not None:
         # free stationary states are taken in the running-wave
         # normalization used throughout; a standing wave fails loudly
         report.add(
@@ -345,15 +347,10 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
 def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
     grid, constants = config.grid, config.constants
     potential = config.potential
-    dt = float(config.get("hj.dt", 1e-3))
-    n_steps = int(config.get("hj.n_steps", 1000))
+    dt = config.get("hj.dt")
+    n_steps = config.get("hj.n_steps")
     trajectory = integrate_hamilton(
-        potential,
-        float(config.get("hj.x0", 0.0)),
-        float(config.get("hj.p0", 1.0)),
-        dt,
-        n_steps,
-        constants,
+        potential, config.get("hj.x0"), config.get("hj.p0"), dt, n_steps, constants
     )
     _write_columns(
         out / "trajectory.csv",
@@ -366,10 +363,10 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
 
     report = VerificationReport(
         scenario="hj",
-        metadata={"dt": dt, "n_steps": n_steps, "potential": str(config.get("potential.kind"))},
+        metadata={"dt": dt, "n_steps": n_steps, "potential": config.get("potential.kind")},
     )
-    h_series = trajectory.momenta**2 / (2.0 * constants.mass) + potential_energy(
-        potential, trajectory.positions, constants
+    h_series = trajectory.momenta**2 / (2.0 * constants.mass) + potential.energy(
+        trajectory.positions, constants
     )
     h0 = h_series[0]
     scale = max(abs(float(h0)), 1e-12)
@@ -382,53 +379,56 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
         )
     )
 
-    s0_kind = str(config.get("hj.s0", "")).lower()
-    if s0_kind:
-        if s0_kind == "free":
-            hj_energy = float(config.get("hj.energy", 0.5))
-            s_fn = free_principal_function(hj_energy, constants)
-            s0 = s_fn(grid.x, 0.0)
-        elif s0_kind == "zero":
-            s0 = np.zeros(grid.n_points)
-        else:
-            raise ConfigError(f"unknown hj.s0 {s0_kind!r} (free | zero)")
-        field = principal_function_from_characteristics(
-            potential, s0, grid, dt, n_steps, constants
+    s0_kind = config.get("hj.s0")
+    if s0_kind is None:
+        return report
+    s0_kind = s0_kind.lower()
+    if s0_kind == "free":
+        s_fn = free_principal_function(config.get("hj.energy"), constants)
+        s0 = s_fn(grid.x, 0.0)
+    elif s0_kind == "zero":
+        s0 = np.zeros(grid.n_points)
+    else:
+        raise ConfigError(f"unknown hj.s0 {s0_kind!r} (free | zero)")
+    field = principal_function_from_characteristics(
+        potential, s0, grid, dt, n_steps, constants
+    )
+    stride = config.get("hj.store_every")
+    if stride is None:
+        stride = max(1, n_steps // 10)
+    for k in range(0, field.times.size, stride):
+        valid = field.validity_mask[k]
+        _write_columns(
+            out / f"s_field_{k:04d}.csv",
+            ["x", "s", "valid"],
+            grid.x,
+            np.where(valid, field.s[k], np.nan),
+            valid,
         )
-        stride = int(config.get("hj.store_every", max(1, n_steps // 10)))
-        for k in range(0, field.times.size, stride):
-            valid = field.validity_mask[k]
-            _write_columns(
-                out / f"s_field_{k:04d}.csv",
-                ["x", "s", "valid"],
-                grid.x,
-                np.where(valid, field.s[k], np.nan),
-                valid,
-            )
-        if s0_kind == "free" and str(config.get("potential.kind")) == "free":
-            report.add(
-                free_characteristics_check(ctx, field, s_fn, f"{n_steps} steps, dt={dt}")
-            )
+    if s0_kind == "free" and config.get("potential.kind") == "free":
+        report.add(
+            free_characteristics_check(ctx, field, s_fn, f"{n_steps} steps, dt={dt}")
+        )
     return report
 
 
 def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
-    scenario = str(config.get("compare.scenario", "free")).lower()
+    scenario = config.get("compare.scenario").lower()
     grid, constants = config.grid, config.constants
     report = VerificationReport(scenario="hj-compare", metadata={"comparison": scenario})
 
     if scenario == "free":
-        energy = float(config.get("hj.energy", 0.5))
+        energy = config.get("hj.energy")
         offset, checks = inertial_checks(ctx, grid, energy, f"E={energy}")
         report.metadata["constant_offset"] = offset
         report.checks.extend(checks)
     elif scenario == "harmonic-ground":
-        omega = float(config.get("potential.omega"))
+        omega = config.get("potential.omega")
         potential = HarmonicPotential(omega)
-        v = eval_potential(potential, grid, constants)
+        v = potential.on_grid(grid, constants)
         h = assemble_hamiltonian(potential, grid, constants)
         ground = solve_lowest_eigenpairs(h, 1)[0]
-        dt = float(config.get("hj.dt", 1e-3))
+        dt = config.get("hj.dt")
         result = evolve(ground.state, v, dt, 2, constants, store_every=1)
         report.metadata["ground_energy"] = ground.energy
         report.add(
@@ -455,7 +455,7 @@ def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Verifica
     raw = config.get("superpose.coefficients")
     if not raw:
         raise ConfigError("superpose needs superpose.coefficients (comma-separated)")
-    coefficients = _parse_coefficients(str(raw))
+    coefficients = _parse_coefficients(raw)
     weights = WeightingFunction(coefficients)
     original_total = weights.total_weight
     weights = weights.normalized()
@@ -496,17 +496,17 @@ def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Verifica
 
 def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
     grid, constants = config.grid, config.constants
-    k = int(config.get("ensemble.k", 8))
+    k = config.get("ensemble.k")
     if k <= 0:
         raise ConfigError(f"ensemble.k must be >= 1, got {k}")
-    mean = float(config.get("ensemble.mean_energy", 4.0))
-    sigma = float(config.get("ensemble.sigma_energy", 1.5))
+    mean = config.get("ensemble.mean_energy")
+    sigma = config.get("ensemble.sigma_energy")
     if sigma <= 0.0:
         raise ConfigError(f"ensemble.sigma_energy must be positive, got {sigma}")
-    n_samples = int(config.get("ensemble.n_samples", 100_000))
-    dt = float(config.get("ensemble.dt", 1e-3))
-    n_steps = int(config.get("ensemble.n_steps", 6283))
-    store_every = int(config.get("ensemble.store_every", 100))
+    n_samples = config.get("ensemble.n_samples")
+    dt = config.get("ensemble.dt")
+    n_steps = config.get("ensemble.n_steps")
+    store_every = config.get("ensemble.store_every")
     # reject bad run arguments before paying for the eigensolve
     check_run_arguments(dt, n_steps, store_every, n_samples)
     pairs = _solve_pairs(config, k)
@@ -611,7 +611,7 @@ def main(argv=None) -> int:
     try:
         config = load_run_config(args.config, args.out)
         if args.seed is not None:
-            config.values["run.seed"] = int(args.seed)
+            config.values["run.seed"] = args.seed
         ctx = make_context(config, args.tolerance_scale)
         out = args.out if args.out is not None else Path(f"out-{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,9 @@
 
 One file per run.  Lines are `key = value`; blank lines and `#`
 comments are ignored (inline comments allowed).  Every key must appear
-in the schema below — unknown or duplicate keys are errors with line
-diagnostics, as are values that fail to parse at the declared type.
+in the schema below, which also holds its default — unknown or duplicate
+keys are errors with line diagnostics, as are values that fail to parse
+at the declared type and non-finite float values.
 `tolerance.<check-name>` keys are accepted wholesale (floats); the
 check names themselves are validated by the verification layer, which
 owns the tolerance table.
@@ -20,6 +21,7 @@ Example::
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
@@ -39,63 +41,52 @@ class ConfigError(Exception):
     """Malformed configuration; message carries file/line context."""
 
 
-_SCHEMA: dict[str, type] = {
-    "grid.x_min": float,
-    "grid.x_max": float,
-    "grid.n_points": int,
-    "constants.hbar": float,
-    "constants.mass": float,
-    "potential.kind": str,
-    "potential.omega": float,
-    "potential.height": float,
-    "potential.width": float,
-    "potential.center": float,
-    "potential.csv": str,
-    "run.seed": int,
-    "eigen.k": int,
-    "evolve.state": str,
-    "evolve.n": int,
-    "evolve.csv": str,
-    "evolve.center": float,
-    "evolve.momentum": float,
-    "evolve.width": float,
-    "evolve.dt": float,
-    "evolve.n_steps": int,
-    "evolve.store_every": int,
-    "madelung.state": str,
-    "madelung.n": int,
-    "madelung.energy": float,
-    "madelung.csv": str,
-    "hj.x0": float,
-    "hj.p0": float,
-    "hj.dt": float,
-    "hj.n_steps": int,
-    "hj.s0": str,
-    "hj.energy": float,
-    "hj.store_every": int,
-    "compare.scenario": str,
-    "superpose.coefficients": str,
-    "ensemble.n_samples": int,
-    "ensemble.k": int,
-    "ensemble.mean_energy": float,
-    "ensemble.sigma_energy": float,
-    "ensemble.dt": float,
-    "ensemble.n_steps": int,
-    "ensemble.store_every": int,
-}
-
-_DEFAULTS: dict[str, Any] = {
-    "grid.x_min": -20.0,
-    "grid.x_max": 20.0,
-    "grid.n_points": 4001,
-    "constants.hbar": 1.0,
-    "constants.mass": 1.0,
-    "potential.kind": "free",
-    "potential.omega": 1.0,
-    "potential.height": 1.0,
-    "potential.width": 1.0,
-    "potential.center": 0.0,
-    "run.seed": 20260814,
+# key -> (type, default).  None: the key has no default (file paths,
+# madelung.energy, superpose.coefficients, hj.s0) or the subcommand
+# derives it from other keys (madelung.state, hj.store_every).
+_SCHEMA: dict[str, tuple[type, Any]] = {
+    "grid.x_min": (float, -20.0),
+    "grid.x_max": (float, 20.0),
+    "grid.n_points": (int, 4001),
+    "constants.hbar": (float, 1.0),
+    "constants.mass": (float, 1.0),
+    "potential.kind": (str, "free"),
+    "potential.omega": (float, 1.0),
+    "potential.height": (float, 1.0),
+    "potential.width": (float, 1.0),
+    "potential.center": (float, 0.0),
+    "potential.csv": (str, None),
+    "run.seed": (int, 20260814),
+    "eigen.k": (int, 5),
+    "evolve.state": (str, "gaussian"),
+    "evolve.n": (int, 0),
+    "evolve.csv": (str, None),
+    "evolve.center": (float, 0.0),
+    "evolve.momentum": (float, 0.0),
+    "evolve.width": (float, 1.0),
+    "evolve.dt": (float, 1e-3),
+    "evolve.n_steps": (int, 1000),
+    "evolve.store_every": (int, 100),
+    "madelung.state": (str, None),
+    "madelung.n": (int, 0),
+    "madelung.energy": (float, None),
+    "madelung.csv": (str, None),
+    "hj.x0": (float, 0.0),
+    "hj.p0": (float, 1.0),
+    "hj.dt": (float, 1e-3),
+    "hj.n_steps": (int, 1000),
+    "hj.s0": (str, None),
+    "hj.energy": (float, 0.5),
+    "hj.store_every": (int, None),
+    "compare.scenario": (str, "free"),
+    "superpose.coefficients": (str, None),
+    "ensemble.n_samples": (int, 100_000),
+    "ensemble.k": (int, 8),
+    "ensemble.mean_energy": (float, 4.0),
+    "ensemble.sigma_energy": (float, 1.5),
+    "ensemble.dt": (float, 1e-3),
+    "ensemble.n_steps": (int, 6283),
+    "ensemble.store_every": (int, 100),
 }
 
 
@@ -121,21 +112,21 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
                 raise ConfigError(f"{source}:{lineno}: tolerance key needs a check name")
             expected: type = float
         elif key in _SCHEMA:
-            expected = _SCHEMA[key]
+            expected = _SCHEMA[key][0]
         else:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         try:
-            if expected is int:
-                values[key] = int(raw_value)
-            elif expected is float:
-                values[key] = float(raw_value)
-            else:
-                values[key] = raw_value
+            value = expected(raw_value)
         except ValueError:
             raise ConfigError(
                 f"{source}:{lineno}: key {key!r} expects {expected.__name__}, "
                 f"got {raw_value!r}"
             ) from None
+        if expected is float and not math.isfinite(value):
+            raise ConfigError(
+                f"{source}:{lineno}: key {key!r} must be finite, got {raw_value!r}"
+            )
+        values[key] = value
     return values
 
 
@@ -147,46 +138,41 @@ class RunConfig:
     values: dict[str, Any] = field(default_factory=dict)
     out_dir: Path | None = None
 
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self.values:
-            return self.values[key]
-        if key in _DEFAULTS:
-            return _DEFAULTS[key]
-        return default
+    def get(self, key: str) -> Any:
+        """The key's value, else its schema default; KeyError outside the schema."""
+        _, default = _SCHEMA[key]
+        return self.values.get(key, default)
 
     @property
     def seed(self) -> int:
-        return int(self.get("run.seed"))
+        return self.get("run.seed")
 
     @property
     def constants(self) -> PhysicalConstants:
         return PhysicalConstants(
-            hbar=float(self.get("constants.hbar")),
-            mass=float(self.get("constants.mass")),
+            hbar=self.get("constants.hbar"), mass=self.get("constants.mass")
         )
 
     @property
     def grid(self) -> Grid1D:
         return build_grid(
-            float(self.get("grid.x_min")),
-            float(self.get("grid.x_max")),
-            int(self.get("grid.n_points")),
+            self.get("grid.x_min"), self.get("grid.x_max"), self.get("grid.n_points")
         )
 
     @property
     def potential(self) -> Potential:
-        kind = str(self.get("potential.kind")).lower()
+        kind = self.get("potential.kind").lower()
         if kind == "free":
             return FreePotential()
         if kind == "harmonic":
-            return HarmonicPotential(omega=float(self.get("potential.omega")))
+            return HarmonicPotential(omega=self.get("potential.omega"))
         if kind == "infinite_well":
             return InfiniteWellPotential()
         if kind == "smooth_barrier":
             return SmoothBarrierPotential(
-                height=float(self.get("potential.height")),
-                width=float(self.get("potential.width")),
-                center=float(self.get("potential.center")),
+                height=self.get("potential.height"),
+                width=self.get("potential.width"),
+                center=self.get("potential.center"),
             )
         if kind == "tabulated":
             csv_path = self.get("potential.csv")
@@ -205,7 +191,7 @@ class RunConfig:
     def tolerance_overrides(self) -> dict[str, float]:
         prefix = "tolerance."
         return {
-            k[len(prefix):]: float(v)
+            k[len(prefix):]: v
             for k, v in self.values.items()
             if k.startswith(prefix)
         }

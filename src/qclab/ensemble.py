@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
-from .potentials import Potential, potential_energy, potential_force
+from .potentials import Potential
 from .spectral import EigenPair
 from .states import WaveFunction
 
@@ -256,7 +256,7 @@ def run_classical_ensemble(
                 f"sample {bad}: x0_rule returned the non-finite launch "
                 f"position {x0[bad]}"
             )
-    v0 = potential_energy(potential, x0, constants)
+    v0 = potential.energy(x0, constants)
     kinetic = energies - v0
     if np.any(kinetic < 0.0):
         bad = int(np.argmin(kinetic))
@@ -278,7 +278,7 @@ def run_classical_ensemble(
     p = launch[first, 1]
 
     def hamiltonian(xv: np.ndarray, pv: np.ndarray) -> np.ndarray:
-        return pv * pv / (2.0 * m) + potential_energy(potential, xv, constants)
+        return pv * pv / (2.0 * m) + potential.energy(xv, constants)
 
     def histogram(xv: np.ndarray) -> np.ndarray:
         return np.histogram(xv, bins=grid.x, weights=counts)[0].astype(np.int64)
@@ -291,14 +291,14 @@ def run_classical_ensemble(
 
     half_dt = 0.5 * dt
     scratch = np.empty(x.size)
-    force = potential_force(potential, x, constants)
+    force = potential.force(x, constants)
     for k in range(1, n_steps + 1):
         np.multiply(force, half_dt, out=scratch)
         p += scratch
         np.multiply(p, dt, out=scratch)
         scratch /= m
         x += scratch
-        force = potential_force(potential, x, constants)
+        force = potential.force(x, constants)
         np.multiply(force, half_dt, out=scratch)
         p += scratch
         if k % store_every == 0 or k == n_steps:

@@ -6,6 +6,7 @@ dx = (x_max - x_min)/(n_points - 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Reduced Planck constant and particle mass, both strictly positive.
+    """Reduced Planck constant and particle mass, both positive and finite.
 
     Defaults give the natural units used throughout: hbar = mass = 1.
     """
@@ -22,10 +23,10 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if not (self.mass > 0.0):
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not (0.0 < self.hbar < math.inf):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if not (0.0 < self.mass < math.inf):
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
-from .potentials import Potential, potential_energy, potential_force
+from .potentials import Potential
 from .stencils import gradient
 
 Scalar = Union[float, np.ndarray]
@@ -118,7 +118,7 @@ def verlet_step(
     m = constants.mass
     p_half = p + 0.5 * dt * force
     x = x + dt * p_half / m
-    force = potential_force(potential, x, constants)
+    force = potential.force(x, constants)
     p = p_half + 0.5 * dt * force
     return x, p, force
 
@@ -149,11 +149,11 @@ def integrate_hamilton(
     momenta = np.empty(shape)
     actions = np.empty(shape)
     positions[0], momenta[0], actions[0] = x, p, 0.0
-    lagrangian = p * p / (2.0 * m) - potential_energy(potential, x, constants)
-    force = potential_force(potential, x, constants)
+    lagrangian = p * p / (2.0 * m) - potential.energy(x, constants)
+    force = potential.force(x, constants)
     for k in range(n_steps):
         x, p, force = verlet_step(potential, x, p, force, dt, constants)
-        lagrangian_new = p * p / (2.0 * m) - potential_energy(potential, x, constants)
+        lagrangian_new = p * p / (2.0 * m) - potential.energy(x, constants)
         positions[k + 1] = x
         momenta[k + 1] = p
         actions[k + 1] = actions[k] + 0.5 * dt * (lagrangian + lagrangian_new)

@@ -1,4 +1,6 @@
-"""Static potential catalog: evaluation on grids and classical forces.
+"""Static potential catalog: each kind carries its own energy V(x),
+force -dV/dx and samples on a grid, so one V drives both the quantum
+Hamiltonian and the classical orbits.
 
 Kinds
 -----
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import csv
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
@@ -23,41 +27,91 @@ import numpy as np
 from .grids import Grid1D, PhysicalConstants
 
 
-@dataclass(frozen=True)
-class FreePotential:
-    pass
+class Potential(ABC):
+    """A static potential V(x): its energy and force at arbitrary
+    positions (classical trajectories fall between grid nodes) and its
+    samples on a grid.
+
+    Pure in (potential, x or grid, constants): same inputs give bitwise
+    identical output.
+    """
+
+    @abstractmethod
+    def energy(self, x, constants: PhysicalConstants):
+        """V at position(s) x."""
+
+    @abstractmethod
+    def force(self, x, constants: PhysicalConstants):
+        """Classical force -dV/dx at position(s) x."""
+
+    def on_grid(self, grid: Grid1D, constants: PhysicalConstants) -> np.ndarray:
+        """V sampled on the grid points."""
+        return self.energy(grid.x, constants)
 
 
 @dataclass(frozen=True)
-class HarmonicPotential:
+class FreePotential(Potential):
+    def energy(self, x, constants: PhysicalConstants):
+        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+
+    force = energy  # both vanish identically
+
+
+@dataclass(frozen=True)
+class InfiniteWellPotential(FreePotential):
+    """Classically free motion, without wall reflections: no scenario
+    integrates a classical box orbit."""
+
+
+@dataclass(frozen=True)
+class HarmonicPotential(Potential):
     omega: float
 
     def __post_init__(self) -> None:
-        if not (self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not (0.0 < self.omega < math.inf):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+
+    def energy(self, x, constants: PhysicalConstants):
+        return 0.5 * constants.mass * self.omega**2 * np.square(x)
+
+    def force(self, x, constants: PhysicalConstants):
+        return -constants.mass * self.omega**2 * x
 
 
 @dataclass(frozen=True)
-class InfiniteWellPotential:
-    pass
-
-
-@dataclass(frozen=True)
-class SmoothBarrierPotential:
+class SmoothBarrierPotential(Potential):
     height: float
     width: float
     center: float
 
     def __post_init__(self) -> None:
-        if not (self.height > 0.0):
-            raise ValueError(f"barrier height must be positive, got {self.height}")
-        if not (self.width > 0.0):
-            raise ValueError(f"width must be positive, got {self.width}")
+        if not (0.0 < self.height < math.inf):
+            raise ValueError(
+                f"barrier height must be positive and finite, got {self.height}"
+            )
+        if not (0.0 < self.width < math.inf):
+            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+
+    def energy(self, x, constants: PhysicalConstants):
+        u = x - self.center
+        return self.height * np.exp(-np.square(u) / (2.0 * self.width**2))
+
+    def force(self, x, constants: PhysicalConstants):
+        u = x - self.center
+        w2 = self.width**2
+        return self.height * (u / w2) * np.exp(-(u**2) / (2.0 * w2))
 
 
 @dataclass(frozen=True)
-class TabulatedPotential:
-    """Potential sampled on explicit abscissae (one value per grid point)."""
+class TabulatedPotential(Potential):
+    """Potential sampled on explicit abscissae (one value per grid point).
+
+    Between samples V is interpolated linearly and the force is the
+    interpolated central-difference derivative; positions outside the
+    abscissae are rejected.
+    """
 
     x: np.ndarray
     values: np.ndarray
@@ -69,102 +123,40 @@ class TabulatedPotential:
             raise ValueError("tabulated x and values must be equal-length 1D arrays")
         if x.size < 3:
             raise ValueError("tabulated potential needs at least 3 samples")
+        finite = np.isfinite(x) & np.isfinite(v)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(
+                f"tabulated sample {bad} is not finite: x = {x[bad]}, V = {v[bad]}"
+            )
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
 
+    @cached_property
+    def _slope(self) -> np.ndarray:
+        # lazy: hard-wall tables (V ~ 1e308) overflow here, and only
+        # classical runs need the derivative
+        return np.gradient(self.values, self.x)
 
-Potential = Union[
-    FreePotential,
-    HarmonicPotential,
-    InfiniteWellPotential,
-    SmoothBarrierPotential,
-    TabulatedPotential,
-]
+    def _interpolate(self, x, table: np.ndarray):
+        lo, hi = self.x[0], self.x[-1]
+        if (np.min(x) < lo) or (np.max(x) > hi):
+            raise ValueError(f"position outside the tabulated domain [{lo}, {hi}]")
+        return np.interp(x, self.x, table)
 
+    def energy(self, x, constants: PhysicalConstants):
+        return self._interpolate(x, self.values)
 
-def eval_potential(
-    potential: Potential, grid: Grid1D, constants: PhysicalConstants
-) -> np.ndarray:
-    """Potential energy sampled on the grid points.
+    def force(self, x, constants: PhysicalConstants):
+        return -self._interpolate(x, self._slope)
 
-    Pure in (potential, grid, constants): same inputs give bitwise
-    identical output.
-    """
-    x = grid.x
-    if isinstance(potential, (FreePotential, InfiniteWellPotential)):
-        return np.zeros(grid.n_points)
-    if isinstance(potential, HarmonicPotential):
-        return 0.5 * constants.mass * potential.omega**2 * x**2
-    if isinstance(potential, SmoothBarrierPotential):
-        u = x - potential.center
-        return potential.height * np.exp(-(u**2) / (2.0 * potential.width**2))
-    if isinstance(potential, TabulatedPotential):
-        if potential.x.shape != x.shape or not np.array_equal(potential.x, x):
+    def on_grid(self, grid: Grid1D, constants: PhysicalConstants) -> np.ndarray:
+        if self.x.shape != grid.x.shape or not np.array_equal(self.x, grid.x):
             raise ValueError(
                 "tabulated abscissae do not match the grid exactly; "
                 "regenerate the table from this grid's points"
             )
-        return potential.values.copy()
-    raise TypeError(f"unknown potential kind: {type(potential).__name__}")
-
-
-def potential_energy(
-    potential: Potential, x, constants: PhysicalConstants
-):
-    """V at arbitrary position(s) x (not tied to a grid).
-
-    Needed along classical trajectories, whose sample points fall
-    between grid nodes. Tabulated interpolates linearly and rejects
-    positions outside its abscissae; InfiniteWell is zero like Free
-    (see potential_force for the wall convention).
-    """
-    if isinstance(potential, (FreePotential, InfiniteWellPotential)):
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    if isinstance(potential, HarmonicPotential):
-        return 0.5 * constants.mass * potential.omega**2 * np.square(x)
-    if isinstance(potential, SmoothBarrierPotential):
-        u = x - potential.center
-        return potential.height * np.exp(-np.square(u) / (2.0 * potential.width**2))
-    if isinstance(potential, TabulatedPotential):
-        xt, vt = potential.x, potential.values
-        if (np.min(x) < xt[0]) or (np.max(x) > xt[-1]):
-            raise ValueError(
-                f"position outside the tabulated domain [{xt[0]}, {xt[-1]}]"
-            )
-        return np.interp(x, xt, vt)
-    raise TypeError(f"unknown potential kind: {type(potential).__name__}")
-
-
-def potential_force(
-    potential: Potential, x, constants: PhysicalConstants
-):
-    """Classical force -dV/dx at position(s) x.
-
-    Analytic for the catalog kinds; Tabulated uses a central-difference
-    derivative table and linear interpolation, and rejects positions
-    outside its abscissae. InfiniteWell is treated as free motion (no
-    wall reflections): no scenario integrates a classical box orbit.
-    """
-    if isinstance(potential, (FreePotential, InfiniteWellPotential)):
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    if isinstance(potential, HarmonicPotential):
-        return -constants.mass * potential.omega**2 * x
-    if isinstance(potential, SmoothBarrierPotential):
-        u = x - potential.center
-        w2 = potential.width**2
-        return potential.height * (u / w2) * np.exp(-(u**2) / (2.0 * w2))
-    if isinstance(potential, TabulatedPotential):
-        xt, vt = potential.x, potential.values
-        lo, hi = xt[0], xt[-1]
-        out_of_domain = (np.min(x) < lo) or (np.max(x) > hi)
-        if out_of_domain:
-            raise ValueError(
-                "trajectory left the tabulated domain "
-                f"[{lo}, {hi}]"
-            )
-        dv = np.gradient(vt, xt)
-        return -np.interp(x, xt, dv)
-    raise TypeError(f"unknown potential kind: {type(potential).__name__}")
+        return self.values.copy()
 
 
 def load_tabulated_csv(path: Union[str, Path]) -> TabulatedPotential:

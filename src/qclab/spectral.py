@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
-from .potentials import Potential, eval_potential
+from .potentials import Potential
 from .states import WaveFunction
 from .tridiagonal import lowest_eigenpairs
 
@@ -68,7 +68,7 @@ def hamiltonian_from_values(
 def assemble_hamiltonian(
     potential: Potential, grid: Grid1D, constants: PhysicalConstants
 ) -> HamiltonianMatrix:
-    v = eval_potential(potential, grid, constants)
+    v = potential.on_grid(grid, constants)
     return hamiltonian_from_values(v, grid, constants)
 
 
@@ -167,7 +167,7 @@ def stationary_scattering_state(
     keeps the local truncation error at O(dx^6).  Requires E above the
     potential everywhere so the solution stays oscillatory.
     """
-    v = eval_potential(potential, grid, constants)
+    v = potential.on_grid(grid, constants)
     if energy <= float(np.max(v)):
         raise ValueError(
             "stationary_scattering_state requires the energy to exceed the "

@@ -28,6 +28,7 @@ block, which is excluded from byte-identity comparisons.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,7 +70,6 @@ from .potentials import (
     FreePotential,
     HarmonicPotential,
     SmoothBarrierPotential,
-    eval_potential,
 )
 from .report import CheckResult, VerificationReport, check_against
 from .spectral import (
@@ -85,8 +85,6 @@ from .states import (
     probability_current,
 )
 from .stencils import gradient
-
-DEFAULT_SEED = 20260814
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "inertial_phase_vs_action": 1e-10,
@@ -167,9 +165,7 @@ class VerifyContext:
 
     @cached_property
     def harmonic_potential_values(self) -> np.ndarray:
-        return eval_potential(
-            HarmonicPotential(_OMEGA), self.harmonic_grid, self.constants
-        )
+        return HarmonicPotential(_OMEGA).on_grid(self.harmonic_grid, self.constants)
 
     @cached_property
     def harmonic_pairs(self):
@@ -359,7 +355,7 @@ def _two_state_residual_peaks(
             phi0 * np.exp(-0.5j * t) + phi1 * np.exp(-1.5j * t)
         ) / np.sqrt(2.0)
         slices.append(WaveFunction(values, grid, t))
-    v = eval_potential(HarmonicPotential(_OMEGA), grid, ctx.constants)
+    v = HarmonicPotential(_OMEGA).on_grid(grid, ctx.constants)
     r_phase, r_cont = madelung_residuals(slices, v, ctx.constants)
     return float(np.nanmax(np.abs(r_phase))), float(np.nanmax(np.abs(r_cont)))
 
@@ -634,13 +630,17 @@ def make_context(
     Overrides must name known checks; the scale multiplies "<=" budgets
     only (">=" thresholds have no single sensible scaling direction).
     """
-    if tolerance_scale <= 0.0:
-        raise ConfigError(f"tolerance scale must be positive, got {tolerance_scale}")
+    if not (0.0 < tolerance_scale < math.inf):
+        raise ConfigError(
+            f"tolerance scale must be positive and finite, got {tolerance_scale}"
+        )
+    config = config if config is not None else RunConfig()
     tolerances = dict(DEFAULT_TOLERANCES)
-    overrides = config.tolerance_overrides if config is not None else {}
-    for name, value in overrides.items():
+    for name, value in config.tolerance_overrides.items():
         if name not in tolerances:
             raise ConfigError(f"unknown tolerance override {name!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"tolerance override {name!r} must be finite, got {value}")
         if value <= 0.0 and name != "rerun_sampling_mismatch":
             raise ConfigError(f"tolerance override {name!r} must be positive")
         tolerances[name] = value
@@ -648,8 +648,7 @@ def make_context(
         for name in tolerances:
             if name not in GREATER_EQUAL:
                 tolerances[name] *= tolerance_scale
-    seed = config.seed if config is not None else DEFAULT_SEED
-    return VerifyContext(PhysicalConstants(), tolerances, seed)
+    return VerifyContext(PhysicalConstants(), tolerances, config.seed)
 
 
 def run_verify_all(

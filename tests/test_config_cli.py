@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qclab.spectral
 from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
@@ -61,6 +63,75 @@ def test_parse_rejects_malformed_lines(line, fragment):
 def test_parse_rejects_duplicates():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config_text("eigen.k = 3\neigen.k = 4\n")
+
+
+_VALUE_TEXT = st.one_of(
+    st.sampled_from(
+        ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
+         "1e-400", "0", "-3", "2.5", "1_000", " 7 ", "0x10", "harmonic"]
+    ),
+    st.text(max_size=12),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    key=st.sampled_from(sorted(_SCHEMA) + ["tolerance.norm_drift"]),
+    value=_VALUE_TEXT,
+)
+def test_parse_gives_finite_typed_values_or_config_error(key, value):
+    try:
+        values = parse_config_text(f"{key} = {value}\n")
+    except ConfigError:
+        return
+    for k, v in values.items():
+        expected = float if k.startswith("tolerance.") else _SCHEMA[k][0]
+        assert type(v) is expected
+        assert expected is not float or math.isfinite(v)
+
+
+@pytest.mark.parametrize(
+    "subcommand, line",
+    [
+        ("hj", "hj.x0 = nan"),
+        ("eigen", "tolerance.eigenbasis_orthonormality = nan"),
+        ("hj", "constants.mass = inf"),
+        ("hj", "hj.p0 = 1e400"),
+    ],
+)
+def test_non_finite_config_floats_exit_2_with_file_and_line(
+    tmp_path, capsys, subcommand, line
+):
+    cfg = _write(tmp_path, "hj.n_steps = 10\n" + line + "\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"run.config:2: key {line.split(' = ')[0]!r} must be finite" in err[0]
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_tolerance_scale_exits_2(tmp_path, capsys, scale):
+    out = tmp_path / "out"
+    assert main(["eigen", "--out", str(out), "--tolerance-scale", scale]) == 2
+    assert "tolerance scale must be positive and finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_schema_defaults_have_the_declared_type():
+    for key, (expected, default) in _SCHEMA.items():
+        assert default is None or type(default) is expected, key
+
+
+def test_get_falls_back_to_the_schema_and_rejects_other_keys():
+    config = RunConfig({"eigen.k": 3, "tolerance.norm_drift": 1e-3})
+    assert config.get("eigen.k") == 3
+    assert config.get("ensemble.k") == _SCHEMA["ensemble.k"][1]
+    assert config.get("madelung.energy") is None
+    for key in ("eigen.kk", "tolerance.norm_drift"):
+        with pytest.raises(KeyError):
+            config.get(key)
 
 
 def test_defaults_fill_missing_keys(tmp_path):
@@ -257,6 +328,13 @@ def test_hj_free_field_reconstruction(tmp_path):
     assert report["passed"] is True
 
 
+def test_hj_rejects_a_zero_field_stride(tmp_path, capsys):
+    # a derived default must not swallow an explicit 0
+    cfg = _write(tmp_path, "hj.n_steps = 10\nhj.s0 = zero\nhj.store_every = 0\n")
+    assert main(["hj", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_hj_compare_free_scenario(tmp_path):
     cfg = _write(tmp_path, "compare.scenario = free\nhj.energy = 0.5\n")
     out = tmp_path / "out"
@@ -364,7 +442,7 @@ def test_ensemble_quick_run(tmp_path):
 
 @pytest.mark.parametrize("dt", ["nan", "inf"])
 def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, monkeypatch, dt):
-    # the run arguments are checked before the eigensolve is paid for
+    # the config parse rejects the value before the eigensolve is paid for
     calls = []
     solve = qclab.spectral.lowest_eigenpairs
     monkeypatch.setattr(
@@ -381,7 +459,8 @@ def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, monkeypatch, dt):
     assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("qclab: dt must be finite")
+    assert err[0].startswith("qclab: config error: ")
+    assert err[0].endswith(f"run.config:5: key 'ensemble.dt' must be finite, got '{dt}'")
     assert not (out / "comparison.json").exists()
     assert calls == []
 

@@ -15,7 +15,6 @@ from qclab import (
     energy_distribution,
     ensemble_from_impact_parameters,
     integrate_hamilton,
-    potential_energy,
     project,
     run_classical_ensemble,
 )
@@ -232,7 +231,7 @@ def test_ensemble_orbits_equal_integrate_hamilton_bitwise(
     drawn = spec.energies[rng.choice(3, size=spec.n_samples, p=spec.probabilities)]
     x0 = x0_rule(drawn, rng)
     signs = np.where(rng.random(spec.n_samples) < 0.5, -1.0, 1.0)
-    kinetic = drawn - potential_energy(potential, x0, constants)
+    kinetic = drawn - potential.energy(x0, constants)
     p0 = signs * np.sqrt(2.0 * constants.mass * kinetic)
 
     traj = integrate_hamilton(potential, x0, p0, dt, n_steps, constants)
@@ -263,7 +262,7 @@ def test_repeated_launches_equal_one_integrate_hamilton_per_state(potential, con
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
     drawn = spec.energies[rng.choice(3, size=spec.n_samples, p=spec.probabilities)]
     signs = np.where(rng.random(spec.n_samples) < 0.5, -1.0, 1.0)
-    v0 = potential_energy(potential, 0.0, constants)
+    v0 = potential.energy(0.0, constants)
     p0 = signs * np.sqrt(2.0 * constants.mass * (drawn - v0))
 
     stored = [0] + [
@@ -280,7 +279,7 @@ def test_repeated_launches_equal_one_integrate_hamilton_per_state(potential, con
     assert np.array_equal(result.final_positions, positions[-1])
     assert np.array_equal(result.final_momenta, momenta[-1])
     x_s, p_s = positions[stored], momenta[stored]
-    h = p_s * p_s / (2.0 * constants.mass) + potential_energy(potential, x_s, constants)
+    h = p_s * p_s / (2.0 * constants.mass) + potential.energy(x_s, constants)
     assert np.array_equal(result.energy_drift, np.max(np.abs(h - h[0]) / np.abs(h[0]), axis=0))
     assert np.array_equal(result.max_abs_position, np.max(np.abs(x_s), axis=0))
     assert result.histograms.dtype == np.int64

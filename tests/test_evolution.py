@@ -15,7 +15,6 @@ from qclab import (
     HarmonicPotential,
     Observable,
     build_grid,
-    eval_potential,
     evolve,
     expectation,
     gaussian_packet,
@@ -27,7 +26,7 @@ from qclab.states import WaveFunction
 
 @pytest.fixture(scope="module")
 def harmonic_setup(harmonic_grid, constants):
-    v = eval_potential(HarmonicPotential(1.0), harmonic_grid, constants)
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
     h = hamiltonian_from_values(v, harmonic_grid, constants)
     return v, solve_lowest_eigenpairs(h, 2)
 
@@ -140,7 +139,7 @@ def test_coherent_packet_oscillates_classically(constants):
     grid = build_grid(-12.0, 12.0, 2401)
     x0 = 2.0
     psi0 = gaussian_packet(grid, x0, 0.0, 2.0**-0.5, constants)
-    v = eval_potential(HarmonicPotential(1.0), grid, constants)
+    v = HarmonicPotential(1.0).on_grid(grid, constants)
     result = evolve(psi0, v, 1e-3, 1571, constants, store_every=1571)
     # quarter period: the packet should sit near the origin
     x_final = expectation(result.slices[-1], Observable.POSITION, constants)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,11 @@ def test_constants_must_be_positive():
         PhysicalConstants(hbar=0.0)
     with pytest.raises(ValueError):
         PhysicalConstants(mass=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"mass": math.inf}, {"mass": math.nan}, {"hbar": math.inf}]
+)
+def test_constants_must_be_finite(kwargs):
+    with pytest.raises(ValueError, match="positive and finite"):
+        PhysicalConstants(**kwargs)

@@ -10,7 +10,6 @@ from qclab import (
     FreePotential,
     HarmonicPotential,
     build_grid,
-    eval_potential,
     free_principal_function,
     hj_residual,
     integrate_hamilton,
@@ -177,7 +176,7 @@ def test_hj_residual_flags_the_quantum_gap(constants):
     # so the residual reduces to V alone
     s = np.zeros((3, grid.n_points))
     field = PrincipalFunctionField(s, np.ones_like(s, dtype=bool), times, grid)
-    v = eval_potential(HarmonicPotential(1.0), grid, constants)
+    v = HarmonicPotential(1.0).on_grid(grid, constants)
     r = hj_residual(field, v, constants)
     assert np.allclose(r[0], v)
 

@@ -13,7 +13,6 @@ from qclab import (
     HarmonicPotential,
     build_grid,
     decompose,
-    eval_potential,
     gaussian_packet,
     harmonic_eigenfunction,
     plane_wave,
@@ -88,7 +87,7 @@ def test_vq_of_oscillator_states_is_energy_minus_potential(
 ):
     # continuum identity: V + V_q = E_n pointwise; the discrete stencil
     # error grows like dx^2 * x^4 toward the mask edge
-    v = eval_potential(HarmonicPotential(1.0), harmonic_grid, constants)
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
     for n in (0, 3):
         psi = harmonic_eigenfunction(n, harmonic_grid, 1.0, constants)
         polar = decompose(psi, constants)
@@ -192,7 +191,7 @@ def test_madelung_residuals_on_analytic_stationary_series(
         WaveFunction(phi0 * np.exp(-0.5j * (k * dt)), harmonic_grid, k * dt)
         for k in range(3)
     ]
-    v = eval_potential(HarmonicPotential(1.0), harmonic_grid, constants)
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
     r_phase, r_cont = madelung_residuals(slices, v, constants)
     assert r_phase.shape == (1, harmonic_grid.n_points)
     assert np.nanmax(np.abs(r_phase)) < 2e-2   # tail-edge stencil error
@@ -206,6 +205,6 @@ def test_madelung_residuals_need_uniform_times(harmonic_grid, constants):
     slices = [
         WaveFunction(phi0, harmonic_grid, t) for t in (0.0, 1e-3, 3e-3)
     ]
-    v = eval_potential(HarmonicPotential(1.0), harmonic_grid, constants)
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
     with pytest.raises(ValueError, match="uniform"):
         madelung_residuals(slices, v, constants)

@@ -23,7 +23,6 @@ from qclab import (
     TabulatedPotential,
     assemble_hamiltonian,
     build_grid,
-    eval_potential,
     hamiltonian_from_values,
     plane_wave,
     solve_lowest_eigenpairs,
@@ -263,7 +262,7 @@ def test_hamiltonian_apply_matches_dense_matvec(constants):
         + np.diag(np.full(grid.n_points - 1, h.off_diagonal), -1)
     )
     assert np.allclose(h.apply(v), dense @ v, atol=1e-12)
-    v_vals = eval_potential(HarmonicPotential(1.3), grid, constants)
+    v_vals = HarmonicPotential(1.3).on_grid(grid, constants)
     kinetic_scale = constants.hbar**2 / (constants.mass * grid.dx**2)
     assert np.allclose(h.diagonal, kinetic_scale + v_vals)
     assert h.off_diagonal == pytest.approx(-kinetic_scale / 2.0)

@@ -1,4 +1,6 @@
 """The verification context: tolerance table, overrides, scale semantics."""
+import math
+
 import pytest
 
 from qclab import ConfigError, make_context
@@ -58,6 +60,19 @@ def test_scale_multiplies_upper_bounds_only():
 def test_scale_must_be_positive():
     with pytest.raises(ConfigError, match="scale must be positive"):
         make_context(tolerance_scale=0.0)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_scale_must_be_finite(scale):
+    with pytest.raises(ConfigError, match="scale must be positive and finite"):
+        make_context(tolerance_scale=scale)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_overrides_must_be_finite(value):
+    # a RunConfig built in code skips the parse-time finiteness check
+    with pytest.raises(ConfigError, match="'norm_drift' must be finite"):
+        make_context(RunConfig({"tolerance.norm_drift": value}))
 
 
 def test_scale_applies_after_overrides():
