@@ -31,8 +31,9 @@ from qclab.grids import PhysicalConstants
 
 
 def main() -> None:
+    defaults = RunConfig()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=RunConfig().seed)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--levels", type=int, default=8)
     args = parser.parse_args()
 
@@ -41,8 +42,10 @@ def main() -> None:
     pairs = solve_lowest_eigenpairs(h, args.levels)
     energies = np.array([pair.energy for pair in pairs])
 
-    # gaussian energy profile centered mid-spectrum
-    raw = np.exp(-((energies - 4.0) ** 2) / (2.0 * 1.5**2))
+    # the gaussian energy profile `qclab ensemble` uses by default
+    mean = defaults.get("ensemble.mean_energy")
+    sigma = defaults.get("ensemble.sigma_energy")
+    raw = np.exp(-((energies - mean) ** 2) / (2.0 * sigma**2))
     weights = WeightingFunction(np.sqrt(raw / raw.sum()).astype(complex))
     quantum = energy_distribution(weights, pairs)
     probabilities = np.abs(weights.coefficients) ** 2

@@ -390,12 +390,14 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
         s0 = np.zeros(grid.n_points)
     else:
         raise ConfigError(f"unknown hj.s0 {s0_kind!r} (free | zero)")
-    field = principal_function_from_characteristics(
-        potential, s0, grid, dt, n_steps, constants
-    )
     stride = config.get("hj.store_every")
     if stride is None:
         stride = max(1, n_steps // 10)
+    if stride < 1:
+        raise ConfigError(f"hj.store_every must be >= 1, got {stride}")
+    field = principal_function_from_characteristics(
+        potential, s0, grid, dt, n_steps, constants
+    )
     for k in range(0, field.times.size, stride):
         valid = field.validity_mask[k]
         _write_columns(

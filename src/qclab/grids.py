@@ -31,7 +31,8 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [x_min, x_max] with n_points >= 3.
+    """Uniform grid on [x_min, x_max] with n_points >= 3 and a finite,
+    positive spacing dx (a span that overflows to inf is rejected).
 
     `x` holds the grid points; for exactly symmetric bounds
     (x_min == -x_max) the points are built as (i - (n-1)/2)*dx so that
@@ -54,6 +55,11 @@ class Grid1D:
                 f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]"
             )
         dx = (self.x_max - self.x_min) / (self.n_points - 1)
+        if not (0.0 < dx < math.inf):
+            raise ValueError(
+                f"grid spacing must be finite and positive, got dx = {dx} "
+                f"on [{self.x_min}, {self.x_max}] with {self.n_points} points"
+            )
         idx = np.arange(self.n_points, dtype=float)
         if self.x_min == -self.x_max:
             x = (idx - (self.n_points - 1) / 2.0) * dx

@@ -332,7 +332,20 @@ def test_hj_rejects_a_zero_field_stride(tmp_path, capsys):
     # a derived default must not swallow an explicit 0
     cfg = _write(tmp_path, "hj.n_steps = 10\nhj.s0 = zero\nhj.store_every = 0\n")
     assert main(["hj", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "hj.store_every" in err[0]
+
+
+def test_eigen_rejects_a_grid_span_that_overflows(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "grid.x_min = -1e308\ngrid.x_max = 1e308\ngrid.n_points = 11\neigen.k = 2\n",
+    )
+    assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "dx = inf" in err[0]
 
 
 def test_hj_compare_free_scenario(tmp_path):

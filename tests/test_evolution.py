@@ -7,10 +7,14 @@ closed-form oracle for the evolved state with no discretization slack
 beyond the linear solves.
 """
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qclab
 from qclab import (
     HarmonicPotential,
     Observable,
@@ -29,6 +33,43 @@ def harmonic_setup(harmonic_grid, constants):
     v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
     h = hamiltonian_from_values(v, harmonic_grid, constants)
     return v, solve_lowest_eigenpairs(h, 2)
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 41])
+@pytest.mark.parametrize("shift", [0.0, -25.0])
+def test_steps_match_a_dense_crank_nicolson_reference(constants, n_points, shift):
+    # shift = -25 cancels the kinetic diagonal near x = 0, so I + A loses
+    # diagonal dominance there and zgttrf swaps rows
+    grid = build_grid(-4.0, 4.0, n_points)
+    v = HarmonicPotential(1.0).on_grid(grid, constants) + shift
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
+    dt = 0.5
+    # the walls of the input are not zero; evolve must drop them
+    result = evolve(WaveFunction(values, grid), v, dt, 5, constants)
+
+    h = hamiltonian_from_values(v, grid, constants)
+    m = n_points - 2
+    eye = np.eye(m)
+    a = (1j * dt / (2.0 * constants.hbar)) * (
+        np.diag(h.diagonal[1:-1])
+        + h.off_diagonal * (np.eye(m, k=1) + np.eye(m, k=-1))
+    )
+    ref = values[1:-1]
+    for w in result.slices[1:]:
+        ref = np.linalg.solve(eye + a, (eye - a) @ ref)
+        assert w.values[0] == w.values[-1] == 0.0
+        assert np.max(np.abs(w.values[1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    src = str(Path(qclab.__file__).resolve().parent.parent)
+    probe = "import sys, qclab.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_eigenstate_rotates_at_the_cayley_angle(harmonic_setup, constants):

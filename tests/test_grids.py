@@ -17,7 +17,16 @@ def test_grid_is_uniform_and_inclusive():
 
 @pytest.mark.parametrize(
     "x_min, x_max, n",
-    [(1.0, 1.0, 11), (2.0, -2.0, 11), (-1.0, 1.0, 2), (-1.0, 1.0, 0)],
+    [
+        (1.0, 1.0, 11),
+        (2.0, -2.0, 11),
+        (-1.0, 1.0, 2),
+        (-1.0, 1.0, 0),
+        # spacings that overflow to inf or underflow to 0
+        (-1e308, 1e308, 11),
+        (-math.inf, 0.0, 11),
+        (0.0, 5e-324, 11),
+    ],
 )
 def test_degenerate_grids_are_rejected(x_min, x_max, n):
     with pytest.raises(ValueError):
