@@ -523,12 +523,15 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
         spec, config.potential, grid, dt, n_steps, constants, store_every=store_every
     )
 
+    # every slice shares the bin edges: format their text once, as
+    # _write_columns would, and pass the strings to each write
+    edges = np.array([repr(e) for e in result.bin_edges.tolist()])
     for idx in range(result.histogram_times.size):
         _write_columns(
             out / f"histogram_t{idx:04d}.csv",
             ["bin_left", "bin_right", "count"],
-            result.bin_edges[:-1],
-            result.bin_edges[1:],
+            edges[:-1],
+            edges[1:],
             result.histograms[idx],
         )
     _write_columns(out / "sample_energies.csv", ["sample_energy"], result.sample_energies)
@@ -614,6 +617,8 @@ def main(argv=None) -> int:
         config = load_run_config(args.config, args.out)
         if args.seed is not None:
             config.values["run.seed"] = args.seed
+        if config.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {config.seed}")
         ctx = make_context(config, args.tolerance_scale)
         out = args.out if args.out is not None else Path(f"out-{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)

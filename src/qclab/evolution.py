@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .grids import PhysicalConstants
 from .spectral import hamiltonian_from_values
@@ -76,6 +75,8 @@ def evolve(
     grid = psi0.grid
     if potential_values.shape != (grid.n_points,):
         raise ValueError("potential_values must live on the state's grid")
+    # deferred: loading scipy.linalg takes ~0.3 s that scipy-free CLI runs skip
+    from scipy.linalg.lapack import zgttrf, zgttrs
 
     hamiltonian = hamiltonian_from_values(potential_values, grid, constants)
     alpha = 1j * dt / (2.0 * constants.hbar)

@@ -98,14 +98,20 @@ def harmonic_eigenfunction(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     m, hbar = constants.mass, constants.hbar
+    try:
+        norm = (m * omega / (np.pi * hbar)) ** 0.25 / math.sqrt(
+            2.0**n * math.factorial(n)
+        )
+    except OverflowError:
+        raise ValueError(
+            f"harmonic eigenfunction n = {n}: the normalization 2^n n! "
+            "overflows a float"
+        ) from None
     xi = grid.x * np.sqrt(m * omega / hbar)
     h_prev = np.ones_like(xi)
     h = 2.0 * xi if n >= 1 else h_prev
     for k in range(2, n + 1):
         h, h_prev = 2.0 * xi * h - 2.0 * (k - 1) * h_prev, h
-    norm = (m * omega / (np.pi * hbar)) ** 0.25 / math.sqrt(
-        2.0**n * math.factorial(n)
-    )
     values = norm * h * np.exp(-0.5 * xi**2)
     return WaveFunction(values.astype(complex), grid, time)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 
 class EigensolverError(RuntimeError):
@@ -52,6 +51,9 @@ def lowest_eigenpairs(
     n = diag.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    # deferred: loading scipy.linalg takes ~0.3 s that scipy-free CLI runs skip
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     try:
         _, vectors = eigh_tridiagonal(
             diag,

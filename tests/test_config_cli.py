@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qclab.spectral
 from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
-from qclab.cli import main
+from qclab.cli import _write_columns, main
 from qclab.config import _SCHEMA, RunConfig
 from qclab.grids import build_grid
 from qclab.potentials import (
@@ -274,6 +274,19 @@ def test_madelung_harmonic_state_checks_the_multiplied_identity(tmp_path):
     assert "inertial_quantum_potential" not in names
 
 
+def test_madelung_rejects_an_oscillator_index_whose_norm_overflows(tmp_path, capsys):
+    # 2^171 171! no longer fits a float
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC + "madelung.state = harmonic\nmadelung.n = 171\n",
+    )
+    status = main(["madelung", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("qclab: harmonic eigenfunction n = 171:")
+
+
 def test_evolve_writes_slices_and_observables(tmp_path):
     cfg = _write(
         tmp_path,
@@ -453,6 +466,26 @@ def test_ensemble_quick_run(tmp_path):
     assert (out / "histogram_t0000.csv").exists()
 
 
+def test_ensemble_histograms_carry_the_float_edge_text(tmp_path):
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC
+        + "ensemble.k = 2\nensemble.n_samples = 500\n"
+        + "ensemble.n_steps = 315\nensemble.store_every = 5\n"
+        + "tolerance.ensemble_tv_matched = 0.2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 0
+    edges = load_run_config(cfg).grid.x
+    files = sorted(out.glob("histogram_t*.csv"))
+    assert len(files) == 64
+    for path in files:
+        counts = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2, dtype=int)
+        ref = tmp_path / "ref.csv"
+        _write_columns(ref, ["bin_left", "bin_right", "count"], edges[:-1], edges[1:], counts)
+        assert path.read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("dt", ["nan", "inf"])
 def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, monkeypatch, dt):
     # the config parse rejects the value before the eigensolve is paid for
@@ -498,6 +531,31 @@ def test_seed_flag_overrides_config(tmp_path):
     assert a != b
     report = json.loads((out_a / "report.json").read_text())
     assert report["metadata"]["seed"] == 1
+
+
+@pytest.mark.parametrize(
+    "subcommand, config_text, flags",
+    [
+        ("verify-all", "", ["--seed", "-1"]),
+        ("ensemble", SMALL_HARMONIC + "run.seed = -1\n", []),
+    ],
+    ids=["seed-flag", "config-key"],
+)
+def test_negative_seed_is_a_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch, subcommand, config_text, flags
+):
+    calls = []
+    monkeypatch.setattr(
+        qclab.spectral, "lowest_eigenpairs", lambda *args: calls.append(args)
+    )
+    cfg = _write(tmp_path, config_text)
+    out = tmp_path / "out"
+    status = main([subcommand, "--config", str(cfg), "--out", str(out), *flags])
+    assert status == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["qclab: config error: run.seed must be >= 0, got -1"]
+    assert calls == []
+    assert not (out / "report.json").exists()
 
 
 def test_reports_are_byte_identical_modulo_volatile_fields(tmp_path):

@@ -62,14 +62,32 @@ def test_steps_match_a_dense_crank_nicolson_reference(constants, n_points, shift
         assert np.max(np.abs(w.values[1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_cli_import_does_not_load_scipy_sparse():
-    src = str(Path(qclab.__file__).resolve().parent.parent)
-    probe = "import sys, qclab.cli; print('scipy.sparse' in sys.modules)"
+def _probe(code: str) -> str:
+    """Last stdout line of `code` run in a fresh interpreter at the repo root,
+    followed by whether any scipy module got loaded."""
+    src = Path(qclab.__file__).resolve().parent.parent
+    scipy_loaded = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r}); {code}; {scipy_loaded}"],
+        capture_output=True, text=True, check=True, cwd=src.parent,
     ).stdout
-    assert out.strip() == "False"
+    return out.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg is imported by the functions that call LAPACK, on first use
+    assert _probe("import qclab.cli") == "False"
+
+
+@pytest.mark.parametrize(
+    "name, subcommand",
+    [("free-hj", "hj"), ("harmonic-caustic-hj", "hj"), ("plane-wave-madelung", "madelung")],
+)
+def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
+    argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
+    code = f"from qclab.cli import main; print(main({argv!r}), end=' ')"
+    assert _probe(code) == "0 False"
 
 
 def test_eigenstate_rotates_at_the_cayley_angle(harmonic_setup, constants):

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-import qclab.tridiagonal
 from qclab import (
     EigensolverError,
     HarmonicPotential,
@@ -120,7 +119,8 @@ def test_lapack_failure_raises_eigensolver_error(monkeypatch):
     def fail(*args, **kwargs):
         raise LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
 
-    monkeypatch.setattr(qclab.tridiagonal, "eigh_tridiagonal", fail)
+    # the solver imports eigh_tridiagonal from scipy.linalg on each call
+    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", fail)
     with pytest.raises(EigensolverError, match="1 eigenvectors failed"):
         lowest_eigenpairs(np.arange(5.0), 1.0, 2)
 
