@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -123,6 +123,40 @@ def verlet_step(
     return x, p, force
 
 
+def _verlet_with_action(
+    potential: Potential,
+    x: Scalar,
+    p: Scalar,
+    dt: float,
+    n_steps: int,
+    constants: PhysicalConstants,
+) -> Iterator[tuple[Scalar, Scalar, Scalar]]:
+    """Yield (x, p, action) at steps 0..n_steps of the Verlet orbit(s).
+
+    The action starts at 0 and accumulates the Lagrangian p^2/2m - V by
+    the trapezoidal rule.  Every yielded value is a fresh object, so a
+    consumer may keep it.
+    """
+    m = constants.mass
+    action: Scalar = 0.0
+    yield x, p, action
+    lagrangian = p * p / (2.0 * m) - potential.energy(x, constants)
+    force = potential.force(x, constants)
+    for _ in range(n_steps):
+        x, p, force = verlet_step(potential, x, p, force, dt, constants)
+        lagrangian_new = p * p / (2.0 * m) - potential.energy(x, constants)
+        action = action + 0.5 * dt * (lagrangian + lagrangian_new)
+        lagrangian = lagrangian_new
+        yield x, p, action
+
+
+def _check_steps(dt: float, n_steps: int) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+
+
 def integrate_hamilton(
     potential: Potential,
     x0: Scalar,
@@ -134,13 +168,9 @@ def integrate_hamilton(
     """Velocity-Verlet orbit(s) with running action.
 
     x0/p0 may be floats (one orbit) or equal-shape arrays (a batch
-    advanced in lockstep — used by the characteristics sweep).
+    advanced in lockstep).
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    m = constants.mass
+    _check_steps(dt, n_steps)
     batch = isinstance(x0, np.ndarray)
     x = np.array(x0, dtype=float, copy=True) if batch else float(x0)
     p = np.array(p0, dtype=float, copy=True) if batch else float(p0)
@@ -148,16 +178,9 @@ def integrate_hamilton(
     positions = np.empty(shape)
     momenta = np.empty(shape)
     actions = np.empty(shape)
-    positions[0], momenta[0], actions[0] = x, p, 0.0
-    lagrangian = p * p / (2.0 * m) - potential.energy(x, constants)
-    force = potential.force(x, constants)
-    for k in range(n_steps):
-        x, p, force = verlet_step(potential, x, p, force, dt, constants)
-        lagrangian_new = p * p / (2.0 * m) - potential.energy(x, constants)
-        positions[k + 1] = x
-        momenta[k + 1] = p
-        actions[k + 1] = actions[k] + 0.5 * dt * (lagrangian + lagrangian_new)
-        lagrangian = lagrangian_new
+    steps = _verlet_with_action(potential, x, p, dt, n_steps, constants)
+    for k, (x, p, action) in enumerate(steps):
+        positions[k], momenta[k], actions[k] = x, p, action
     times = dt * np.arange(n_steps + 1)
     return Trajectory(times, positions, momenta, actions)
 
@@ -200,26 +223,26 @@ def principal_function_from_characteristics(
     """
     if s0.shape != (grid.n_points,):
         raise ValueError("s0 must be sampled on the grid")
+    _check_steps(dt, n_steps)
     p0 = gradient(s0, grid.dx)
-    traj = integrate_hamilton(potential, grid.x.copy(), p0, dt, n_steps, constants)
     n_slices = n_steps + 1
     s = np.full((n_slices, grid.n_points), np.nan)
     mask = np.zeros((n_slices, grid.n_points), dtype=bool)
     s[0] = s0
     mask[0] = True
-    caustic_hit = False
-    for k in range(1, n_slices):
-        pos = traj.positions[k]
+    # one slice at a time: the characteristics are never stored, and the
+    # sweep stops at the first crossing (every later slice is masked)
+    steps = _verlet_with_action(potential, grid.x.copy(), p0, dt, n_steps, constants)
+    next(steps)
+    for k, (pos, _, action) in enumerate(steps, start=1):
         if np.any(np.diff(pos) <= 0.0):
-            caustic_hit = True
-        if caustic_hit:
-            continue  # masked from the first crossing onward
-        values = s0 + traj.actions[k]
-        s[k] = np.interp(grid.x, pos, values, left=np.nan, right=np.nan)
+            break
+        s[k] = np.interp(grid.x, pos, s0 + action, left=np.nan, right=np.nan)
         inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
         s[k, ~inside] = np.nan
         mask[k] = inside
-    return PrincipalFunctionField(s, mask, traj.times, grid)
+    times = dt * np.arange(n_slices)
+    return PrincipalFunctionField(s, mask, times, grid)
 
 
 def hj_residual(

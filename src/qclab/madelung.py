@@ -290,7 +290,8 @@ def verify_1d_amplitude_relation(
     phase = phase_jump_guard(polar, constants)
     p_field = gradient(phase, polar.grid.dx)[1:-1]
     lam2 = polar.modulus[1:-1] ** 2
-    valid = ~np.isnan(p_field)
+    # a node's own central stencil straddles the phase step across it
+    valid = ~np.isnan(p_field) & ~polar.node_mask[1:-1]
     if not valid.any():
         raise ValueError("no unmasked interior points to evaluate")
     p_valid = p_field[valid]

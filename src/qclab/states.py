@@ -99,14 +99,17 @@ def harmonic_eigenfunction(
         raise ValueError(f"n must be >= 0, got {n}")
     m, hbar = constants.mass, constants.hbar
     try:
-        norm = (m * omega / (np.pi * hbar)) ** 0.25 / math.sqrt(
-            2.0**n * math.factorial(n)
-        )
+        # n! stops fitting a float at n = 171; 2^n n! already at n = 151,
+        # where the product rounds to inf without raising
+        weight = 2.0**n * math.factorial(n)
     except OverflowError:
+        weight = math.inf
+    if weight == math.inf:
         raise ValueError(
             f"harmonic eigenfunction n = {n}: the normalization 2^n n! "
             "overflows a float"
-        ) from None
+        )
+    norm = (m * omega / (np.pi * hbar)) ** 0.25 / math.sqrt(weight)
     xi = grid.x * np.sqrt(m * omega / hbar)
     h_prev = np.ones_like(xi)
     h = 2.0 * xi if n >= 1 else h_prev

@@ -287,6 +287,37 @@ def test_madelung_rejects_an_oscillator_index_whose_norm_overflows(tmp_path, cap
     assert err[0].startswith("qclab: harmonic eigenfunction n = 171:")
 
 
+@pytest.mark.parametrize("n", [151, 160, 170])
+def test_madelung_rejects_a_normalization_that_rounds_to_inf(tmp_path, capsys, n):
+    # 2^n n! is inf without raising for 151 <= n <= 170
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC + f"madelung.state = harmonic\nmadelung.n = {n}\n",
+    )
+    status = main(["madelung", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert status == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"qclab: harmonic eigenfunction n = {n}: the normalization 2^n n! "
+        "overflows a float"
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_madelung_odd_harmonic_state_is_a_vacuous_relation(tmp_path, n):
+    # dx = 0.02: n = 5's oscillator identity needs a finer grid than
+    # SMALL_HARMONIC's dx = 0.04 (1.5e-3 there, against 1e-3)
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC.replace("601", "1201")
+        + f"madelung.state = harmonic\nmadelung.n = {n}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["madelung", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["amplitude_relation"] == {"vacuous": True, "deviation": None}
+
+
 def test_evolve_writes_slices_and_observables(tmp_path):
     cfg = _write(
         tmp_path,

@@ -76,8 +76,10 @@ def _probe(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.linalg is imported by the functions that call LAPACK, on first use
-    assert _probe("import qclab.cli") == "False"
+    # scipy.linalg is imported by the functions that call LAPACK, on first
+    # use, and concurrent.futures by verify-all's thread pool
+    code = "import qclab.cli; print('concurrent.futures' in sys.modules, end=' ')"
+    assert _probe(code) == "False False"
 
 
 @pytest.mark.parametrize(

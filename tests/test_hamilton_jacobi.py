@@ -1,5 +1,6 @@
 """Classical side: Verlet orbits, actions, S-field reconstruction, caustics."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qclab.hamilton_jacobi import (
     PrincipalFunctionField,
     Trajectory,
 )
+from qclab.stencils import gradient
 
 
 def test_harmonic_orbit_matches_closed_form(constants):
@@ -153,6 +155,72 @@ def test_rest_release_caustic_is_detected_on_time(constants):
     assert abs(field.times[first] - math.pi / 2.0) <= 2.0 * dt
     # nothing recovers after the crossing
     assert not field.validity_mask[first:].any()
+
+
+def _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants):
+    """The sweep done the long way: store every characteristic with
+    integrate_hamilton, then re-interpolate each slice."""
+    traj = integrate_hamilton(
+        potential, grid.x.copy(), gradient(s0, grid.dx), dt, n_steps, constants
+    )
+    s = np.full(traj.positions.shape, np.nan)
+    mask = np.zeros(traj.positions.shape, dtype=bool)
+    s[0], mask[0] = s0, True
+    crossed = False
+    for k in range(1, traj.times.size):
+        pos = traj.positions[k]
+        crossed = crossed or bool(np.any(np.diff(pos) <= 0.0))
+        if crossed:
+            continue
+        s[k] = np.interp(grid.x, pos, s0 + traj.actions[k], left=np.nan, right=np.nan)
+        inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
+        s[k, ~inside] = np.nan
+        mask[k] = inside
+    return s, mask, traj.times
+
+
+@pytest.mark.parametrize(
+    "potential, s0_kind, dt, n_steps",
+    [
+        (FreePotential(), "free", 1e-2, 100),
+        (HarmonicPotential(1.0), "free", 1e-2, 120),
+        # rest release: the caustic at t = pi/2 falls inside the run
+        (HarmonicPotential(1.0), "zero", 1e-2, 250),
+    ],
+    ids=["free", "harmonic", "harmonic-past-caustic"],
+)
+def test_streamed_sweep_equals_the_stored_orbit_field(
+    constants, potential, s0_kind, dt, n_steps
+):
+    grid = build_grid(-5.0, 5.0, 401)
+    if s0_kind == "free":
+        s0 = np.asarray(free_principal_function(0.5, constants)(grid.x, 0.0))
+    else:
+        s0 = np.zeros(grid.n_points)
+    field = principal_function_from_characteristics(
+        potential, s0, grid, dt, n_steps, constants
+    )
+    s, mask, times = _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants)
+    if s0_kind == "zero":
+        assert not mask[-1].any()  # the run does go past the caustic
+    assert np.array_equal(field.s, s, equal_nan=True)
+    assert np.array_equal(field.validity_mask, mask)
+    assert np.array_equal(field.times, times)
+
+
+def test_sweep_memory_is_its_output_not_the_orbits(constants):
+    # 1601 slices x 1201 points: storing the position, momentum and action
+    # of every characteristic would triple the output's footprint
+    grid = build_grid(-12.0, 12.0, 1201)
+    tracemalloc.start()
+    try:
+        field = principal_function_from_characteristics(
+            HarmonicPotential(1.0), np.zeros(grid.n_points), grid, 1e-3, 1600, constants
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (field.s.nbytes + field.validity_mask.nbytes)
 
 
 def test_hj_residual_vanishes_on_the_exact_free_field(constants):

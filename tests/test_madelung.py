@@ -140,6 +140,30 @@ def test_amplitude_relation_is_vacuous_for_real_states(harmonic_grid, constants)
     assert result.vacuous
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_amplitude_relation_is_vacuous_for_odd_states(harmonic_grid, constants, n):
+    # the node at x = 0 is a grid point: its own central stencil reads
+    # the pi*hbar phase step across it, which is no momentum
+    polar = decompose(harmonic_eigenfunction(n, harmonic_grid, 1.0, constants), constants)
+    assert polar.node_mask[harmonic_grid.n_points // 2]
+    assert verify_1d_amplitude_relation(polar, constants).vacuous
+
+
+def test_node_free_states_keep_every_amplitude_relation_point(constants):
+    # the states verify-all and plane-wave-madelung check have no masked
+    # point, so excluding nodes leaves their deviation as it was
+    from qclab import SmoothBarrierPotential, stationary_scattering_state
+
+    grid = build_grid(-20.0, 20.0, 4001)
+    scattering = stationary_scattering_state(
+        SmoothBarrierPotential(1.0, 1.0, 0.0), grid, 2.0, constants
+    )
+    for psi in (scattering, plane_wave(grid, 0.5, constants)):
+        polar = decompose(psi, constants)
+        assert not polar.node_mask.any()
+        assert not verify_1d_amplitude_relation(polar, constants).vacuous
+
+
 def test_amplitude_relation_holds_for_plane_wave(constants):
     grid = build_grid(-20.0, 20.0, 4001)
     polar = decompose(plane_wave(grid, 2.0, constants), constants)

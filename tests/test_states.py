@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,19 @@ def test_wavefunction_rejects_shape_mismatch():
     grid = build_grid(-1.0, 1.0, 11)
     with pytest.raises(ValueError):
         WaveFunction(np.zeros(10), grid)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100, 150])
+def test_oscillator_state_values_below_the_overflow(constants, n):
+    # 2^n n! is finite up to n = 150: the closed form written out
+    # directly, bit for bit (n = 151..170 is rejected, see test_config_cli)
+    grid = build_grid(-12.0, 12.0, 601)
+    xi = grid.x
+    h_prev, h = np.zeros_like(xi), np.ones_like(xi)
+    for k in range(1, n + 1):
+        h, h_prev = 2.0 * xi * h - 2.0 * (k - 1) * h_prev, h
+    norm = (1.0 / np.pi) ** 0.25 / math.sqrt(2.0**n * math.factorial(n))
+    expected = (norm * h * np.exp(-0.5 * xi**2)).astype(complex)
+    psi = harmonic_eigenfunction(n, grid, 1.0, constants)
+    assert np.array_equal(psi.values, expected)
+    assert np.any(psi.values != 0.0)

@@ -1,11 +1,19 @@
-"""The verification context: tolerance table, overrides, scale semantics."""
+"""The verification context: tolerance table, overrides, scale semantics,
+and the once-only intermediates verify-all computes on a second thread."""
 import math
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from qclab import ConfigError, make_context
+import qclab
+from qclab import ConfigError, make_context, verification
+from qclab.cli import main
 from qclab.config import RunConfig
-from qclab.verification import DEFAULT_TOLERANCES, GREATER_EQUAL
+from qclab.verification import CRITERIA, DEFAULT_TOLERANCES, GREATER_EQUAL, run_verify_all
 
 
 def test_default_context_carries_the_full_table():
@@ -79,3 +87,122 @@ def test_scale_applies_after_overrides():
     config = RunConfig({"tolerance.norm_drift": 2e-9})
     ctx = make_context(config, tolerance_scale=3.0)
     assert ctx.tolerances["norm_drift"] == pytest.approx(6e-9)
+
+
+@pytest.fixture(scope="module")
+def threaded_run():
+    """One verify-all run with every evolve call counted."""
+    calls = []
+    real_evolve = verification.evolve
+
+    def counting_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        calls.append(n_steps)
+        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "evolve", counting_evolve)
+        report = run_verify_all()
+    return report, calls
+
+
+def test_threaded_run_matches_serial_builders(threaded_run):
+    report, _ = threaded_run
+    ctx = make_context()
+    serial = [check for _, builder in CRITERIA for check in builder(ctx)]
+    assert report.checks == serial
+    assert list(report.timing) == [scenario for scenario, _ in CRITERIA]
+
+
+def test_threaded_run_evolves_each_state_once(threaded_run):
+    _, calls = threaded_run
+    assert sorted(calls) == [1000, 6283, 10004]
+    assert sum(calls) == 17_287
+
+
+def test_pool_has_two_workers_and_starts_after_scipy_loads():
+    # a fresh interpreter, so scipy.linalg is not loaded by earlier tests;
+    # the first submit records the pool size and stops the run
+    src = Path(qclab.__file__).resolve().parent.parent
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from concurrent.futures import ThreadPoolExecutor
+from qclab.verification import run_verify_all
+
+class Stop(Exception):
+    pass
+
+def submit(self, fn, *args, **kwargs):
+    print(self._max_workers, "scipy.linalg" in sys.modules)
+    raise Stop
+
+ThreadPoolExecutor.submit = submit
+print("scipy.linalg" in sys.modules)
+try:
+    run_verify_all()
+except Stop:
+    pass
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["False", "2 True"]
+
+
+def test_worker_error_exits_2_with_one_line_and_no_thread_left(
+    monkeypatch, tmp_path, capsys
+):
+    real_evolve = verification.evolve
+
+    def failing_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        if n_steps == 10004:
+            raise RuntimeError("injected ground-evolution failure")
+        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve", failing_evolve)
+    threads = threading.active_count()
+    assert main(["verify-all", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "qclab: injected ground-evolution failure"
+    ]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
+def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fails):
+    calls = []
+
+    def slow_evolve(*args, **kwargs):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        if fails:
+            raise RuntimeError("evolution failed")
+        return object()
+
+    monkeypatch.setattr(verification, "evolve", slow_evolve)
+    ctx = make_context()
+    ctx.harmonic_pairs
+    outcomes = []
+
+    def read():
+        try:
+            outcomes.append(ctx.ground_evolution)
+        except RuntimeError as exc:
+            outcomes.append(exc)
+
+    # more readers than cores, switching threads as often as possible
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        read()
+        for reader in readers:
+            reader.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert len(calls) == 1
+    assert len(outcomes) == 4 and all(o is outcomes[0] for o in outcomes)
+    assert isinstance(outcomes[0], RuntimeError) == fails
