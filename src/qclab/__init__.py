@@ -17,14 +17,12 @@ from .ensemble import (
     compare_energy_statistics,
     draw_sample_energies,
     energy_distribution,
-    ensemble_from_impact_parameters,
     project,
     run_classical_ensemble,
 )
 from .evolution import EvolutionResult, Observable, evolve, expectation
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
-    ClassicalState,
     PrincipalFunctionField,
     Trajectory,
     free_principal_function,
@@ -42,7 +40,6 @@ from .madelung import (
     phase_jump_guard,
     quantum_potential,
     recompose,
-    stationary_continuity_residual,
     total_potential,
     verify_1d_amplitude_relation,
     verify_modified_hj,
@@ -75,7 +72,7 @@ from .states import (
 )
 from .tridiagonal import EigensolverError
 from .verification import (
-    DEFAULT_TOLERANCES,
+    CHECKS,
     VerifyContext,
     make_context,
     run_verify_all,

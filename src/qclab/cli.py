@@ -2,9 +2,11 @@
 
 Each subcommand reads one `key = value` config file (all keys optional,
 defaults come from the config schema), writes machine-readable artifacts
-(CSV for numeric fields, JSON for summaries) plus a `report.json` check
-report into the output directory, and prints one [PASS]/[FAIL] line per
-check.
+(CSV for numeric fields, JSON for summaries) into the output directory,
+and returns its report metadata and checks.  main turns those into the
+`report.json` check report, named after the subcommand, and prints one
+[PASS]/[FAIL] line per check.  Every check's default tolerance,
+comparator and identity come from verification.CHECKS.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error.  Identical config and seed give byte-identical reports up
@@ -24,6 +26,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -60,7 +63,7 @@ from .madelung import (
     verify_oscillator_identity,
 )
 from .potentials import HarmonicPotential
-from .report import VerificationReport
+from .report import CheckResult, VerificationReport
 from .spectral import (
     EigenPair,
     assemble_hamiltonian,
@@ -126,6 +129,10 @@ def _write_wavefunction_csv(path: Path, psi: WaveFunction) -> None:
     _write_columns(path, ["x", "re", "im"], psi.grid.x, psi.values.real, psi.values.imag)
 
 
+# what a subcommand returns: the report metadata and its checks
+Outcome = tuple[dict, list[CheckResult]]
+
+
 def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
     h = assemble_hamiltonian(config.potential, config.grid, config.constants)
     return solve_lowest_eigenpairs(h, k)
@@ -135,7 +142,7 @@ def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
 # subcommands
 
 
-def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     k = config.get("eigen.k")
     if k <= 0:
         raise ConfigError(f"eigen.k must be >= 1, got {k}")
@@ -154,19 +161,9 @@ def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> Verification
         [[pairs[i].state.inner(pairs[j].state) for j in range(k)] for i in range(k)]
     )
     ortho = float(np.max(np.abs(gram - np.eye(k))))
-    report = VerificationReport(
-        scenario="eigen",
-        metadata={"k": k, "eigenvalues": [pair.energy for pair in pairs]},
-    )
-    report.add(
-        ctx.check(
-            "eigenbasis_orthonormality",
-            ortho,
-            "eigenstates are orthonormal under the trapezoid inner product",
-            detail=f"max |<i|j> - delta_ij| over {k} states",
-        )
-    )
-    return report
+    metadata = {"k": k, "eigenvalues": [pair.energy for pair in pairs]}
+    detail = f"max |<i|j> - delta_ij| over {k} states"
+    return metadata, [ctx.check("eigenbasis_orthonormality", ortho, detail)]
 
 
 def _initial_state(config: RunConfig) -> WaveFunction:
@@ -193,7 +190,7 @@ def _initial_state(config: RunConfig) -> WaveFunction:
     raise ConfigError(f"unknown evolve.state {kind!r}")
 
 
-def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     grid, constants = config.grid, config.constants
     v = config.potential.on_grid(grid, constants)
     psi0 = _initial_state(config)
@@ -217,35 +214,19 @@ def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificatio
     drift = float(np.max(np.abs(result.norm_history - result.norm_history[0])))
     e0 = result.energy_history[0]
     e_drift = float(np.max(np.abs(result.energy_history - e0)) / max(abs(e0), 1e-12))
-    report = VerificationReport(
-        scenario="evolve",
-        metadata={
-            "state": config.get("evolve.state"),
-            "dt": dt,
-            "n_steps": n_steps,
-            "store_every": store_every,
-        },
-    )
-    report.add(
-        ctx.check(
-            "norm_drift",
-            drift,
-            "Crank-Nicolson conserves the discrete norm",
-            detail=f"{n_steps} steps, dt={dt}",
-        )
-    )
-    report.add(
-        ctx.check(
-            "energy_drift",
-            e_drift,
-            "the Cayley stepper commutes with H: <H> is a constant of motion",
-            detail="relative drift of the energy expectation",
-        )
-    )
-    return report
+    metadata = {
+        "state": config.get("evolve.state"),
+        "dt": dt,
+        "n_steps": n_steps,
+        "store_every": store_every,
+    }
+    return metadata, [
+        ctx.check("norm_drift", drift, f"{n_steps} steps, dt={dt}"),
+        ctx.check("energy_drift", e_drift, "relative drift of the energy expectation"),
+    ]
 
 
-def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     grid, constants = config.grid, config.constants
     kind = config.get("madelung.state")
     if kind is None:
@@ -303,7 +284,7 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
     }
     if energy is not None:
         summary["modified_hj_residual"] = float(
-            verify_modified_hj(psi, v, constants, energy=energy)
+            verify_modified_hj(psi, v, energy, constants)
         )
         summary["energy"] = energy
     if oscillator_index is not None:
@@ -313,38 +294,26 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
         )
     _write_json(out / "summary.json", summary)
 
-    report = VerificationReport(scenario="madelung", metadata=summary)
-    report.add(
-        ctx.check(
-            "polar_roundtrip_error",
-            roundtrip_err,
-            "lambda e^{i phi / hbar} reproduces psi",
-        )
-    )
+    checks = [ctx.check("polar_roundtrip_error", roundtrip_err)]
     if config.get("potential.kind") == "free" and energy is not None:
         # free stationary states are taken in the running-wave
         # normalization used throughout; a standing wave fails loudly
-        report.add(
-            ctx.check(
-                "inertial_quantum_potential",
-                summary["v_q_peak"],
-                "constant modulus makes the quantum potential vanish",
-                detail="free stationary state",
-            )
+        v_q_peak = summary["v_q_peak"]
+        checks.append(
+            ctx.check("inertial_quantum_potential", v_q_peak, "free stationary state")
         )
     if oscillator_index is not None:
-        report.add(
+        checks.append(
             ctx.check(
                 "oscillator_identity_residual",
                 summary["oscillator_identity_residual"],
-                "lambda_n'' + (2m/hbar^2)[(n+1/2)hbar w - m w^2 x^2/2] lambda_n = 0",
-                detail=f"n={oscillator_index}",
+                f"n={oscillator_index}",
             )
         )
-    return report
+    return summary, checks
 
 
-def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     grid, constants = config.grid, config.constants
     potential = config.potential
     dt = config.get("hj.dt")
@@ -361,27 +330,23 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
         trajectory.actions,
     )
 
-    report = VerificationReport(
-        scenario="hj",
-        metadata={"dt": dt, "n_steps": n_steps, "potential": config.get("potential.kind")},
-    )
+    metadata = {"dt": dt, "n_steps": n_steps, "potential": config.get("potential.kind")}
     h_series = trajectory.momenta**2 / (2.0 * constants.mass) + potential.energy(
         trajectory.positions, constants
     )
     h0 = h_series[0]
     scale = max(abs(float(h0)), 1e-12)
-    report.add(
+    checks = [
         ctx.check(
             "trajectory_energy_drift",
             float(np.max(np.abs(h_series - h0)) / scale),
-            "the Stoermer-Verlet trajectory conserves the Hamiltonian",
-            detail=f"relative to H(0)={float(h0)!r}",
+            f"relative to H(0)={float(h0)!r}",
         )
-    )
+    ]
 
     s0_kind = config.get("hj.s0")
     if s0_kind is None:
-        return report
+        return metadata, checks
     s0_kind = s0_kind.lower()
     if s0_kind == "free":
         s_fn = free_principal_function(config.get("hj.energy"), constants)
@@ -408,22 +373,21 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationRep
             valid,
         )
     if s0_kind == "free" and config.get("potential.kind") == "free":
-        report.add(
+        checks.append(
             free_characteristics_check(ctx, field, s_fn, f"{n_steps} steps, dt={dt}")
         )
-    return report
+    return metadata, checks
 
 
-def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     scenario = config.get("compare.scenario").lower()
     grid, constants = config.grid, config.constants
-    report = VerificationReport(scenario="hj-compare", metadata={"comparison": scenario})
+    metadata: dict = {"comparison": scenario}
 
     if scenario == "free":
         energy = config.get("hj.energy")
         offset, checks = inertial_checks(ctx, grid, energy, f"E={energy}")
-        report.metadata["constant_offset"] = offset
-        report.checks.extend(checks)
+        metadata["constant_offset"] = offset
     elif scenario == "harmonic-ground":
         omega = config.get("potential.omega")
         potential = HarmonicPotential(omega)
@@ -432,15 +396,15 @@ def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> Verific
         ground = solve_lowest_eigenpairs(h, 1)[0]
         dt = config.get("hj.dt")
         result = evolve(ground.state, v, dt, 2, constants, store_every=1)
-        report.metadata["ground_energy"] = ground.energy
-        report.add(
+        metadata["ground_energy"] = ground.energy
+        checks = [
             phase_action_gap_check(ctx, result.slices, v, f"omega={omega}, dt={dt}")
-        )
+        ]
     else:
         raise ConfigError(
             f"unknown compare.scenario {scenario!r} (free | harmonic-ground)"
         )
-    return report
+    return metadata, checks
 
 
 def _parse_coefficients(text: str) -> np.ndarray:
@@ -450,10 +414,13 @@ def _parse_coefficients(text: str) -> np.ndarray:
         raise ConfigError(f"superpose.coefficients: {exc}") from None
     if not values:
         raise ConfigError("superpose.coefficients is empty")
+    for value in values:
+        if not cmath.isfinite(value):
+            raise ConfigError(f"superpose.coefficients must be finite, got {value}")
     return np.array(values, dtype=complex)
 
 
-def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     raw = config.get("superpose.coefficients")
     if not raw:
         raise ConfigError("superpose needs superpose.coefficients (comma-separated)")
@@ -475,28 +442,17 @@ def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Verifica
     )
 
     recovered = project(psi0, pairs).coefficients
-    report = VerificationReport(
-        scenario="superpose",
-        metadata={"k": int(coefficients.size), "input_total_weight": float(original_total)},
-    )
-    report.add(
-        ctx.check(
-            "superposition_norm_error",
-            float(abs(psi0.norm - 1.0)),
-            "unit weights over an orthonormal basis give a unit-norm state",
-        )
-    )
-    report.add(
+    metadata = {"k": int(coefficients.size), "input_total_weight": original_total}
+    return metadata, [
+        ctx.check("superposition_norm_error", float(abs(psi0.norm - 1.0))),
         ctx.check(
             "weight_roundtrip_error",
             float(np.max(np.abs(recovered - weights.coefficients))),
-            "projection onto the basis recovers the coefficients",
-        )
-    )
-    return report
+        ),
+    ]
 
 
-def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> VerificationReport:
+def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     grid, constants = config.grid, config.constants
     k = config.get("ensemble.k")
     if k <= 0:
@@ -556,27 +512,16 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Verificat
     }
     _write_json(out / "comparison.json", comparison)
 
-    report = VerificationReport(
-        scenario="ensemble",
-        metadata={
-            "k": k,
-            "n_samples": spec.n_samples,
-            "seed": spec.rng_seed,
-            "mean_energy": mean,
-            "sigma_energy": sigma,
-            "max_energy_drift": float(np.max(result.energy_drift)),
-        },
-    )
-    report.add(
-        ctx.check(
-            "ensemble_tv_matched",
-            float(tv),
-            "a classical ensemble drawn from |c_n|^2 reproduces the quantum "
-            "energy statistics",
-            detail=f"{spec.n_samples} samples, seed {spec.rng_seed}",
-        )
-    )
-    return report
+    metadata = {
+        "k": k,
+        "n_samples": spec.n_samples,
+        "seed": spec.rng_seed,
+        "mean_energy": mean,
+        "sigma_energy": sigma,
+        "max_energy_drift": float(np.max(result.energy_drift)),
+    }
+    detail = f"{spec.n_samples} samples, seed {spec.rng_seed}"
+    return metadata, [ctx.check("ensemble_tv_matched", float(tv), detail)]
 
 
 _SUBCOMMANDS = {
@@ -614,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_run_config(args.config, args.out)
+        config = load_run_config(args.config)
         if args.seed is not None:
             config.values["run.seed"] = args.seed
         if config.seed < 0:
@@ -625,7 +570,8 @@ def main(argv=None) -> int:
         if args.subcommand == "verify-all":
             report = run_verify_all(config, tolerance_scale=args.tolerance_scale)
         else:
-            report = _SUBCOMMANDS[args.subcommand](config, ctx, out)
+            metadata, checks = _SUBCOMMANDS[args.subcommand](config, ctx, out)
+            report = VerificationReport(args.subcommand, checks, metadata)
         with open(out / "report.json", "w") as fh:
             fh.write(report.to_json())
     except ConfigError as exc:

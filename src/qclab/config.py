@@ -7,7 +7,7 @@ keys are errors with line diagnostics, as are values that fail to parse
 at the declared type and non-finite float values.
 `tolerance.<check-name>` keys are accepted wholesale (floats); the
 check names themselves are validated by the verification layer, which
-owns the tolerance table.
+owns the check table (verification.CHECKS).
 
 Example::
 
@@ -133,10 +133,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
 @dataclass
 class RunConfig:
     """Everything a subcommand needs: grid, constants, potential,
-    scenario parameters, tolerance overrides, seed, output directory."""
+    scenario parameters, tolerance overrides, seed."""
 
     values: dict[str, Any] = field(default_factory=dict)
-    out_dir: Path | None = None
 
     def get(self, key: str) -> Any:
         """The key's value, else its schema default; KeyError outside the schema."""
@@ -197,9 +196,7 @@ class RunConfig:
         }
 
 
-def load_run_config(
-    path: Union[str, Path, None], out_dir: Union[str, Path, None] = None
-) -> RunConfig:
+def load_run_config(path: Union[str, Path, None]) -> RunConfig:
     """RunConfig from a file (or pure defaults when path is None)."""
     if path is None:
         values: dict[str, Any] = {}
@@ -208,4 +205,4 @@ def load_run_config(
         if not p.exists():
             raise ConfigError(f"config file does not exist: {p}")
         values = parse_config_text(p.read_text(), source=str(p))
-    return RunConfig(values=values, out_dir=Path(out_dir) if out_dir else None)
+    return RunConfig(values=values)

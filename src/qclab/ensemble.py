@@ -142,23 +142,6 @@ class EnsembleSpec:
         object.__setattr__(self, "probabilities", p)
 
 
-def ensemble_from_impact_parameters(
-    b_values: np.ndarray,
-    probabilities: np.ndarray,
-    b_to_energy: Callable[[float], float],
-    n_samples: int,
-    rng_seed: int,
-) -> EnsembleSpec:
-    """EnsembleSpec induced by a distribution over a hidden parameter b.
-
-    In 1D the impact parameter has no literal geometry; what survives is
-    its effect — a map b -> E(b) (shaped by the interaction potential)
-    pushing the b-distribution forward onto total energy.
-    """
-    energies = np.array([float(b_to_energy(float(b))) for b in b_values])
-    return EnsembleSpec(energies, np.asarray(probabilities, float), n_samples, rng_seed)
-
-
 def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> np.ndarray:
     idx = rng.choice(spec.energies.size, size=spec.n_samples, p=spec.probabilities)
     return spec.energies[idx]

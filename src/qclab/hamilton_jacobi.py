@@ -33,18 +33,6 @@ Scalar = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
-class ClassicalState:
-    x: float
-    p: float
-    t: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "p", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Uniform-dt samples of one orbit (or a batch: trailing sample axis).
 
@@ -67,17 +55,6 @@ class Trajectory:
             == self.actions.shape[0]
         ):
             raise ValueError("sample counts disagree across trajectory fields")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def state(self, k: int) -> ClassicalState:
-        if self.positions.ndim != 1:
-            raise ValueError("state() is for scalar trajectories; index the batch first")
-        return ClassicalState(
-            float(self.positions[k]), float(self.momenta[k]), float(self.times[k])
-        )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ stencils touch them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -134,9 +134,7 @@ def quantum_potential(
     dilated = polar.node_mask.copy()
     dilated[1:] |= polar.node_mask[:-1]
     dilated[:-1] |= polar.node_mask[1:]
-    jump = np.abs(np.diff(polar.phase)) > 0.5 * np.pi * constants.hbar
-    dilated[:-1] |= jump
-    dilated[1:] |= jump
+    dilated |= _beside_branch_jump(polar, constants)
     v_q[dilated] = np.nan
     return v_q
 
@@ -146,6 +144,15 @@ def total_potential(v_q: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v_q.shape != v.shape:
         raise ValueError(f"shape mismatch: v_q {v_q.shape} vs V {v.shape}")
     return v + v_q
+
+
+def _beside_branch_jump(polar: PolarField, constants: PhysicalConstants) -> np.ndarray:
+    """Points adjacent to a phase step larger than pi*hbar/2."""
+    jump = np.abs(np.diff(polar.phase)) > 0.5 * np.pi * constants.hbar
+    beside = np.zeros(polar.phase.shape, dtype=bool)
+    beside[:-1] |= jump
+    beside[1:] |= jump
+    return beside
 
 
 def phase_jump_guard(
@@ -160,11 +167,7 @@ def phase_jump_guard(
     adjacent to a step larger than pi*hbar/2.
     """
     phase = polar.phase.copy()
-    jump = np.abs(np.diff(phase)) > 0.5 * np.pi * constants.hbar
-    bad = np.zeros(phase.shape, dtype=bool)
-    bad[:-1] |= jump
-    bad[1:] |= jump
-    phase[bad] = np.nan
+    phase[_beside_branch_jump(polar, constants)] = np.nan
     return phase
 
 
@@ -270,11 +273,6 @@ class AmplitudeRelationResult:
     vacuous: bool
     deviation: float | None
 
-    def __str__(self) -> str:
-        if self.vacuous:
-            return "relation vacuous (constant phase)"
-        return f"deviation {self.deviation:.3e}"
-
 
 def verify_1d_amplitude_relation(
     polar: PolarField, constants: PhysicalConstants = PhysicalConstants()
@@ -308,25 +306,6 @@ def verify_1d_amplitude_relation(
     return AmplitudeRelationResult(vacuous=False, deviation=deviation)
 
 
-def stationary_continuity_residual(
-    polar: PolarField, constants: PhysicalConstants = PhysicalConstants()
-) -> np.ndarray:
-    """Raw differential form lap Phi + 2 (dPhi/dx)(d ln lambda/dx), masked.
-
-    Diagnostic companion to verify_1d_amplitude_relation: the integrated
-    (median-constancy) form is the robust check, this exposes the
-    pointwise residual of the stationary continuity equation.
-    """
-    phase = phase_jump_guard(polar, constants)
-    log_lam = np.where(
-        polar.node_mask, np.nan, np.log(np.where(polar.node_mask, 1.0, polar.modulus))
-    )
-    dx = polar.grid.dx
-    return second_derivative(phase, dx) + 2.0 * gradient(phase, dx) * gradient(
-        log_lam, dx
-    )
-
-
 def verify_oscillator_identity(
     n: int,
     eig: EigenPair,
@@ -358,24 +337,17 @@ def verify_oscillator_identity(
 
 
 def verify_modified_hj(
-    state: Union[EigenPair, WaveFunction],
+    psi: WaveFunction,
     potential_values: np.ndarray,
+    energy: float,
     constants: PhysicalConstants = PhysicalConstants(),
-    energy: float | None = None,
 ) -> float:
-    """Max residual of (dPhi/dx)^2 = 2m (E - V_t) for a stationary state.
+    """Max residual of (dPhi/dx)^2 = 2m (E - V_t) for a stationary state
+    of energy E.
 
-    Accepts an EigenPair (energy taken from it) or a WaveFunction with an
-    explicit energy (scattering states).  Evaluated at unmasked interior
-    points; returns max |(dPhi/dx)^2 - 2m(E - V_t)|.
+    Evaluated at unmasked interior points; returns
+    max |(dPhi/dx)^2 - 2m(E - V_t)|.
     """
-    if isinstance(state, EigenPair):
-        psi = state.state
-        energy = state.energy
-    else:
-        psi = state
-        if energy is None:
-            raise ValueError("a bare WaveFunction needs an explicit energy")
     polar = decompose(psi, constants)
     phase = phase_jump_guard(polar, constants)
     grad_phi = gradient(phase, polar.grid.dx)

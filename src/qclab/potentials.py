@@ -70,6 +70,9 @@ class HarmonicPotential(Potential):
     def __post_init__(self) -> None:
         if not (0.0 < self.omega < math.inf):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        # energy and force use omega**2, which raises OverflowError on a float
+        if not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"omega^2 must be finite, got omega = {self.omega}")
 
     def energy(self, x, constants: PhysicalConstants):
         return 0.5 * constants.mass * self.omega**2 * np.square(x)

@@ -71,9 +71,6 @@ class VerificationReport:
         if not self.generated_at:
             self.generated_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

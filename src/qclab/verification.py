@@ -22,8 +22,8 @@ only the RNG seed and tolerance overrides).  The scenarios:
   rerun-determinism           seeded draws reproduce bitwise
 
 Checks compare a measured number against a tolerance with an explicit
-direction; defaults live in DEFAULT_TOLERANCES, names in GREATER_EQUAL
-use ">=".
+direction; CHECKS declares each check once: its default tolerance, its
+comparator and the identity it exercises.
 
 verify-all runs the scenarios one after another, in CRITERIA order, on
 the calling thread, so checks and report rows keep that order.  The three
@@ -96,46 +96,109 @@ from .states import (
 )
 from .stencils import gradient
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "inertial_phase_vs_action": 1e-10,
-    "inertial_quantum_potential": 1e-8,
-    "harmonic_level_error": 1e-4,
-    "harmonic_refinement_gain": 3.5,
-    "oscillator_identity_residual": 1e-3,
-    "effective_potential_constancy": 1e-3,
-    "phase_action_gap_vs_vq": 2e-3,
-    "phase_equation_residual": 1e-3,
-    "continuity_equation_residual": 1e-3,
-    "residual_convergence_order": 1.7,
-    "amplitude_relation_deviation": 1e-2,
-    "current_crosscheck_deviation": 1e-3,
-    "norm_drift": 1e-10,
-    "stationary_overlap": 1.0 - 1e-6,
-    "ehrenfest_position_deviation": 1e-3,
-    "weight_invariance": 1e-8,
-    "ensemble_tv_matched": 0.01,
-    "ensemble_tv_mismatched": 0.1,
-    "characteristics_free_error": 1e-6,
-    "caustic_time_error_steps": 1.0,
-    "rerun_sampling_mismatch": 0.0,
-    # subcommand-level checks (same table so one override mechanism
-    # covers everything)
-    "eigenbasis_orthonormality": 1e-10,
-    "energy_drift": 1e-9,
-    "polar_roundtrip_error": 1e-12,
-    "trajectory_energy_drift": 1e-5,
-    "superposition_norm_error": 1e-10,
-    "weight_roundtrip_error": 1e-10,
+# name -> (default tolerance, comparator, the identity the check exercises).
+# "<=" budgets cap the measured value, ">=" thresholds floor it.  The
+# subcommand-level checks share the table, so one override mechanism
+# covers everything.
+CHECKS: dict[str, tuple[float, str, str]] = {
+    "inertial_phase_vs_action": (
+        1e-10,
+        "<=",
+        "free-motion phase equals the Hamilton principal function -Et + x sqrt(2mE) "
+        "up to a constant",
+    ),
+    "inertial_quantum_potential": (
+        1e-8, "<=", "constant modulus makes the quantum potential vanish"
+    ),
+    "harmonic_level_error": (1e-4, "<=", "harmonic levels are (n+1/2) hbar omega"),
+    "harmonic_refinement_gain": (
+        3.5, ">=", "halving dx shrinks the ground-level error at second order"
+    ),
+    "oscillator_identity_residual": (
+        1e-3, "<=", "lambda_n'' + (2m/hbar^2)[(n+1/2)hbar w - m w^2 x^2/2] lambda_n = 0"
+    ),
+    "effective_potential_constancy": (
+        1e-3, "<=", "V + V_q equals E_n pointwise on harmonic eigenstates"
+    ),
+    "phase_action_gap_vs_vq": (
+        2e-3,
+        "<=",
+        "classical HJ residual of the quantum phase equals -V_q: the entire gap "
+        "between S and Phi",
+    ),
+    "phase_equation_residual": (
+        1e-3, "<=", "(grad Phi)^2/2m + V + V_q + dPhi/dt = 0 along the evolution"
+    ),
+    "continuity_equation_residual": (
+        1e-3, "<=", "lap Phi + 2 grad Phi grad ln lambda + 2m d ln lambda/dt = 0"
+    ),
+    "residual_convergence_order": (
+        1.7, ">=", "both residuals shrink at second order under dx, dt refinement"
+    ),
+    "amplitude_relation_deviation": (
+        1e-2,
+        "<=",
+        "stationary 1D states obey lambda = (dPhi/dx)^(-1/2) up to one global factor",
+    ),
+    "current_crosscheck_deviation": (
+        1e-3,
+        "<=",
+        "lambda^2 dPhi/dx agrees with m times the probability current computed "
+        "directly from psi",
+    ),
+    "norm_drift": (1e-10, "<=", "Crank-Nicolson conserves the discrete norm"),
+    "stationary_overlap": (
+        1.0 - 1e-6, ">=", "an eigenstate returns to itself (up to phase) after a period"
+    ),
+    "ehrenfest_position_deviation": (
+        1e-3,
+        "<=",
+        "<x>(t) of a packet in the harmonic well follows the classical trajectory "
+        "exactly (quadratic potential)",
+    ),
+    "weight_invariance": (
+        1e-8,
+        "<=",
+        "unitary evolution freezes every |c_n|: superpositions carry a fixed energy "
+        "distribution",
+    ),
+    "ensemble_tv_matched": (
+        0.01,
+        "<=",
+        "a classical ensemble drawn from |c_n|^2 reproduces the quantum energy "
+        "statistics",
+    ),
+    "ensemble_tv_mismatched": (
+        0.1,
+        ">=",
+        "a mismatched hidden-parameter distribution is flagged by the same comparison",
+    ),
+    "characteristics_free_error": (
+        1e-6, "<=", "method of characteristics reproduces the free closed-form S"
+    ),
+    "caustic_time_error_steps": (
+        1.0, "<=", "rest-released harmonic characteristics focus at a quarter period"
+    ),
+    "rerun_sampling_mismatch": (
+        0.0, "<=", "a fixed seed reproduces every draw bitwise"
+    ),
+    "eigenbasis_orthonormality": (
+        1e-10, "<=", "eigenstates are orthonormal under the trapezoid inner product"
+    ),
+    "energy_drift": (
+        1e-9, "<=", "the Cayley stepper commutes with H: <H> is a constant of motion"
+    ),
+    "polar_roundtrip_error": (1e-12, "<=", "lambda e^{i phi / hbar} reproduces psi"),
+    "trajectory_energy_drift": (
+        1e-5, "<=", "the Stoermer-Verlet trajectory conserves the Hamiltonian"
+    ),
+    "superposition_norm_error": (
+        1e-10, "<=", "unit weights over an orthonormal basis give a unit-norm state"
+    ),
+    "weight_roundtrip_error": (
+        1e-10, "<=", "projection onto the basis recovers the coefficients"
+    ),
 }
-
-GREATER_EQUAL = frozenset(
-    {
-        "harmonic_refinement_gain",
-        "residual_convergence_order",
-        "stationary_overlap",
-        "ensemble_tv_mismatched",
-    }
-)
 
 _OMEGA = 1.0
 _PERIOD = 2.0 * np.pi / _OMEGA
@@ -191,12 +254,12 @@ class VerifyContext:
     _locks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def check(
-        self, name: str, measured: float, identity: str, detail: str = ""
-    ) -> CheckResult:
+    def check(self, name: str, measured: float, detail: str = "") -> CheckResult:
+        """The named check against this context's tolerance; the comparator
+        and the identity come from CHECKS."""
         if name not in self.tolerances:
             raise KeyError(f"no tolerance registered for check {name!r}")
-        comparator = ">=" if name in GREATER_EQUAL else "<="
+        _, comparator, identity = CHECKS[name]
         return check_against(
             name, measured, self.tolerances[name], identity, comparator, detail
         )
@@ -297,17 +360,9 @@ def inertial_checks(
     v_q = quantum_potential(polar, ctx.constants)
     return float(offset), [
         ctx.check(
-            "inertial_phase_vs_action",
-            float(np.nanmax(np.abs(diff - offset))),
-            "free-motion phase equals the Hamilton principal function "
-            "-Et + x sqrt(2mE) up to a constant",
-            detail=detail,
+            "inertial_phase_vs_action", float(np.nanmax(np.abs(diff - offset))), detail
         ),
-        ctx.check(
-            "inertial_quantum_potential",
-            float(np.nanmax(np.abs(v_q))),
-            "constant modulus makes the quantum potential vanish",
-        ),
+        ctx.check("inertial_quantum_potential", float(np.nanmax(np.abs(v_q)))),
     ]
 
 
@@ -327,11 +382,7 @@ def phase_action_gap_check(
     residual = hj_residual(field, potential_values, ctx.constants)[0]
     v_q_mid = quantum_potential(polars[1], ctx.constants)
     return ctx.check(
-        "phase_action_gap_vs_vq",
-        float(np.nanmax(np.abs(residual + v_q_mid))),
-        "classical HJ residual of the quantum phase equals -V_q: the "
-        "entire gap between S and Phi",
-        detail=detail,
+        "phase_action_gap_vs_vq", float(np.nanmax(np.abs(residual + v_q_mid))), detail
     )
 
 
@@ -344,8 +395,7 @@ def free_characteristics_check(
     return ctx.check(
         "characteristics_free_error",
         float(np.max(np.abs((field.s - exact)[field.validity_mask]))),
-        "method of characteristics reproduces the free closed-form S",
-        detail=detail,
+        detail,
     )
 
 
@@ -365,17 +415,11 @@ def criterion_spectrum(ctx: VerifyContext) -> list[CheckResult]:
     gain = float(abs(ctx.harmonic_coarse_ground.energy - 0.5) / fine)
     detail = ", ".join(f"n={n}: {e:.3e}" for n, e in enumerate(errors))
     return [
-        ctx.check(
-            "harmonic_level_error",
-            level_error,
-            "harmonic levels are (n+1/2) hbar omega",
-            detail=detail,
-        ),
+        ctx.check("harmonic_level_error", level_error, detail),
         ctx.check(
             "harmonic_refinement_gain",
             gain,
-            "halving dx shrinks the ground-level error at second order",
-            detail=f"E0 error dx=0.02 over dx=0.01: {gain:.2f}",
+            f"E0 error dx=0.02 over dx=0.01: {gain:.2f}",
         ),
     ]
 
@@ -386,14 +430,7 @@ def criterion_oscillator_identity(ctx: VerifyContext) -> list[CheckResult]:
         for n, pair in enumerate(ctx.harmonic_pairs[:5])
     ]
     detail = ", ".join(f"n={n}: {r:.3e}" for n, r in enumerate(residuals))
-    return [
-        ctx.check(
-            "oscillator_identity_residual",
-            float(max(residuals)),
-            "lambda_n'' + (2m/hbar^2)[(n+1/2)hbar w - m w^2 x^2/2] lambda_n = 0",
-            detail=detail,
-        )
-    ]
+    return [ctx.check("oscillator_identity_residual", float(max(residuals)), detail)]
 
 
 def criterion_quantum_potential_gap(ctx: VerifyContext) -> list[CheckResult]:
@@ -407,8 +444,7 @@ def criterion_quantum_potential_gap(ctx: VerifyContext) -> list[CheckResult]:
         ctx.check(
             "effective_potential_constancy",
             float(max(deviations)),
-            "V + V_q equals E_n pointwise on harmonic eigenstates",
-            detail=", ".join(f"n={n}: {d:.3e}" for n, d in enumerate(deviations)),
+            ", ".join(f"n={n}: {d:.3e}" for n, d in enumerate(deviations)),
         ),
         phase_action_gap_check(
             ctx,
@@ -460,24 +496,14 @@ def criterion_madelung_residuals(ctx: VerifyContext) -> list[CheckResult]:
     fine = _two_state_residual_peaks(ctx, 1201)
     order_phase = float(np.log2(coarse[0] / fine[0]))
     order_cont = float(np.log2(coarse[1] / fine[1]))
+    evolved = "evolved ground state, dt=1e-3, slices within one period"
     return [
-        ctx.check(
-            "phase_equation_residual",
-            phase_max,
-            "(grad Phi)^2/2m + V + V_q + dPhi/dt = 0 along the evolution",
-            detail="evolved ground state, dt=1e-3, slices within one period",
-        ),
-        ctx.check(
-            "continuity_equation_residual",
-            cont_max,
-            "lap Phi + 2 grad Phi grad ln lambda + 2m d ln lambda/dt = 0",
-            detail="evolved ground state, dt=1e-3, slices within one period",
-        ),
+        ctx.check("phase_equation_residual", phase_max, evolved),
+        ctx.check("continuity_equation_residual", cont_max, evolved),
         ctx.check(
             "residual_convergence_order",
             float(min(order_phase, order_cont)),
-            "both residuals shrink at second order under dx, dt refinement",
-            detail=f"phase order {order_phase:.2f}, continuity order {order_cont:.2f}",
+            f"phase order {order_phase:.2f}, continuity order {order_cont:.2f}",
         ),
     ]
 
@@ -501,16 +527,9 @@ def criterion_amplitude_relation(ctx: VerifyContext) -> list[CheckResult]:
         ctx.check(
             "amplitude_relation_deviation",
             float(relation.deviation),
-            "stationary 1D states obey lambda = (dPhi/dx)^(-1/2) up to one "
-            "global factor",
-            detail="smooth barrier, E = 2 x height",
+            "smooth barrier, E = 2 x height",
         ),
-        ctx.check(
-            "current_crosscheck_deviation",
-            cross,
-            "lambda^2 dPhi/dx agrees with m times the probability current "
-            "computed directly from psi",
-        ),
+        ctx.check("current_crosscheck_deviation", cross),
     ]
 
 
@@ -521,17 +540,9 @@ def criterion_unitarity(ctx: VerifyContext) -> list[CheckResult]:
     k = int(np.argmin(np.abs(times - _PERIOD)))
     overlap = float(abs(result.slices[k].inner(result.slices[0])))
     return [
+        ctx.check("norm_drift", drift, "10004 steps, dt=1e-3"),
         ctx.check(
-            "norm_drift",
-            drift,
-            "Crank-Nicolson conserves the discrete norm",
-            detail="10004 steps, dt=1e-3",
-        ),
-        ctx.check(
-            "stationary_overlap",
-            overlap,
-            "an eigenstate returns to itself (up to phase) after a period",
-            detail=f"|<psi(t), psi(0)>| at t={times[k]:.3f}",
+            "stationary_overlap", overlap, f"|<psi(t), psi(0)>| at t={times[k]:.3f}"
         ),
     ]
 
@@ -547,15 +558,8 @@ def criterion_ehrenfest(ctx: VerifyContext) -> list[CheckResult]:
     )
     idx = np.rint(times / _DT).astype(int)
     deviation = float(np.max(np.abs(positions - trajectory.positions[idx])))
-    return [
-        ctx.check(
-            "ehrenfest_position_deviation",
-            deviation,
-            "<x>(t) of a packet in the harmonic well follows the classical "
-            "trajectory exactly (quadratic potential)",
-            detail="Gaussian at x=2, one period",
-        )
-    ]
+    detail = "Gaussian at x=2, one period"
+    return [ctx.check("ehrenfest_position_deviation", deviation, detail)]
 
 
 def criterion_superposition_statistics(ctx: VerifyContext) -> list[CheckResult]:
@@ -593,26 +597,17 @@ def criterion_superposition_statistics(ctx: VerifyContext) -> list[CheckResult]:
         ctx.check(
             "weight_invariance",
             invariance,
-            "unitary evolution freezes every |c_n|: superpositions carry a "
-            "fixed energy distribution",
-            detail="Gaussian weights over n=0..7, evolved to t=1",
+            "Gaussian weights over n=0..7, evolved to t=1",
         ),
         ctx.check(
             "ensemble_tv_matched",
             float(tv_matched),
-            "a classical ensemble drawn from |c_n|^2 reproduces the quantum "
-            "energy statistics",
-            detail=(
-                f"1e5 samples, seed {ctx.seed}; "
-                f"max sample energy drift {max_drift:.2e}"
-            ),
+            f"1e5 samples, seed {ctx.seed}; max sample energy drift {max_drift:.2e}",
         ),
         ctx.check(
             "ensemble_tv_mismatched",
             float(tv_mismatched),
-            "a mismatched hidden-parameter distribution is flagged by the "
-            "same comparison",
-            detail="uniform draw over the same levels",
+            "uniform draw over the same levels",
         ),
     ]
 
@@ -645,13 +640,7 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
         detail = f"first fully-masked slice at t={t_caustic:.4f}, period/4={0.25 * _PERIOD:.4f}"
     return [
         free_characteristics_check(ctx, field, s_fn, "100 steps, dt=1e-3"),
-        ctx.check(
-            "caustic_time_error_steps",
-            caustic_steps,
-            "rest-released harmonic characteristics focus at a quarter "
-            "period",
-            detail=detail,
-        ),
+        ctx.check("caustic_time_error_steps", caustic_steps, detail),
     ]
 
 
@@ -669,11 +658,8 @@ def criterion_rerun_determinism(ctx: VerifyContext) -> list[CheckResult]:
         ctx.check(
             "rerun_sampling_mismatch",
             mismatch,
-            "a fixed seed reproduces every draw bitwise",
-            detail=(
-                f"{RNG_ALGORITHM}; full-report byte identity is exercised by "
-                "running verify-all twice and comparing files"
-            ),
+            f"{RNG_ALGORITHM}; full-report byte identity is exercised by "
+            "running verify-all twice and comparing files",
         )
     ]
 
@@ -706,7 +692,7 @@ def make_context(
             f"tolerance scale must be positive and finite, got {tolerance_scale}"
         )
     config = config if config is not None else RunConfig()
-    tolerances = dict(DEFAULT_TOLERANCES)
+    tolerances = {name: tolerance for name, (tolerance, _, _) in CHECKS.items()}
     for name, value in config.tolerance_overrides.items():
         if name not in tolerances:
             raise ConfigError(f"unknown tolerance override {name!r}")
@@ -717,7 +703,7 @@ def make_context(
         tolerances[name] = value
     if tolerance_scale != 1.0:
         for name in tolerances:
-            if name not in GREATER_EQUAL:
+            if CHECKS[name][1] == "<=":
                 tolerances[name] *= tolerance_scale
     return VerifyContext(PhysicalConstants(), tolerances, config.seed)
 

@@ -479,6 +479,34 @@ def test_superpose_rejects_unparseable_coefficients(tmp_path, capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize(
+    "subcommand, line, message",
+    [
+        ("superpose", "superpose.coefficients = nan, 1", "coefficients must be finite"),
+        ("superpose", "superpose.coefficients = 1, inf", "coefficients must be finite"),
+        ("superpose", "superpose.coefficients = 1, 1+nanj", "must be finite"),
+        ("eigen", "potential.omega = 1e300", "omega^2 must be finite"),
+    ],
+)
+def test_values_that_pass_parsing_but_are_not_finite_exit_2(
+    tmp_path, capsys, subcommand, line, message
+):
+    # complex() accepts nan and inf, and 1e300 is a finite float whose
+    # square is not: both escape the parse-time finiteness rule
+    cfg = _write(tmp_path, SMALL_HARMONIC + line + "\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (out / "report.json").exists()
+
+
+def test_a_large_omega_with_a_finite_square_still_runs(tmp_path):
+    cfg = _write(tmp_path, SMALL_HARMONIC + "potential.omega = 1e150\n")
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_ensemble_quick_run(tmp_path):
     cfg = _write(
         tmp_path,

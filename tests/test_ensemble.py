@@ -13,7 +13,6 @@ from qclab import (
     compare_energy_statistics,
     draw_sample_energies,
     energy_distribution,
-    ensemble_from_impact_parameters,
     integrate_hamilton,
     project,
     run_classical_ensemble,
@@ -119,16 +118,6 @@ def test_run_consumes_the_same_energy_draw(constants):
         spec, HarmonicPotential(1.0), grid, 1e-2, 50, constants
     )
     assert np.array_equal(result.sample_energies, draw_sample_energies(spec))
-
-
-def test_impact_parameter_pushforward():
-    b = np.array([0.0, 1.0, 2.0])
-    p = np.array([0.2, 0.3, 0.5])
-    spec = ensemble_from_impact_parameters(
-        b, p, lambda bb: 0.5 + bb**2, 100, 3
-    )
-    assert np.allclose(spec.energies, [0.5, 1.5, 4.5])
-    assert np.allclose(spec.probabilities, p)
 
 
 # --- running ensembles -----------------------------------------------------

@@ -18,7 +18,6 @@ from qclab import (
 )
 from qclab.grids import PhysicalConstants
 from qclab.hamilton_jacobi import (
-    ClassicalState,
     PrincipalFunctionField,
     Trajectory,
 )
@@ -81,27 +80,12 @@ def test_batch_matches_scalar_orbits_exactly(constants):
         assert np.array_equal(batch.actions[:, j], single.actions)
 
 
-def test_trajectory_state_accessor(constants):
-    traj = integrate_hamilton(FreePotential(), 0.0, 1.0, 0.1, 5, constants)
-    s = traj.state(3)
-    assert isinstance(s, ClassicalState)
-    assert s.x == pytest.approx(0.3)
-    assert s.p == 1.0
-    batch = integrate_hamilton(
-        FreePotential(), np.zeros(2), np.ones(2), 0.1, 5, constants
-    )
-    with pytest.raises(ValueError, match="scalar"):
-        batch.state(0)
-
-
 def test_integrate_hamilton_validates_arguments(constants):
     for dt in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="dt"):
             integrate_hamilton(FreePotential(), 0.0, 1.0, dt, 5, constants)
     with pytest.raises(ValueError, match="n_steps"):
         integrate_hamilton(FreePotential(), 0.0, 1.0, 0.1, 0, constants)
-    with pytest.raises(ValueError, match="finite"):
-        ClassicalState(math.nan, 0.0, 0.0)
 
 
 def test_free_principal_function_closed_form(constants):

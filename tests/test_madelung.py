@@ -23,7 +23,6 @@ from qclab import (
 from qclab.madelung import (
     align_phase_series,
     madelung_residuals,
-    stationary_continuity_residual,
     verify_1d_amplitude_relation,
     verify_modified_hj,
     verify_oscillator_identity,
@@ -176,7 +175,7 @@ def test_modified_hj_closes_for_free_motion(constants):
     grid = build_grid(-20.0, 20.0, 4001)
     psi = plane_wave(grid, 0.5, constants)
     v = np.zeros(grid.n_points)
-    assert verify_modified_hj(psi, v, constants, energy=0.5) < 1e-9
+    assert verify_modified_hj(psi, v, 0.5, constants) < 1e-9
 
 
 def test_oscillator_identity_analytic_states(harmonic_grid, constants):
@@ -190,19 +189,6 @@ def test_oscillator_identity_analytic_states(harmonic_grid, constants):
 def test_oscillator_identity_rejects_mismatched_index(harmonic_pairs, constants):
     with pytest.raises(ValueError):
         verify_oscillator_identity(1, harmonic_pairs[0], 1.0, constants)
-
-
-def test_stationary_continuity_residual_small_for_scattering(constants):
-    from qclab import SmoothBarrierPotential, stationary_scattering_state
-
-    grid = build_grid(-20.0, 20.0, 4001)
-    psi = stationary_scattering_state(
-        SmoothBarrierPotential(1.0, 1.0, 0.0), grid, 2.0, constants
-    )
-    polar = decompose(psi, constants)
-    r = stationary_continuity_residual(polar, constants)
-    # scale: lap Phi ~ p / length; residual should sit orders below p^2
-    assert np.nanmax(np.abs(r[2:-2])) < 1e-2
 
 
 def test_madelung_residuals_on_analytic_stationary_series(

@@ -55,11 +55,15 @@ def test_parameter_validation():
     [
         lambda: HarmonicPotential(math.inf),
         lambda: HarmonicPotential(math.nan),
+        lambda: HarmonicPotential(1e300),  # omega finite, omega^2 not
         lambda: SmoothBarrierPotential(math.inf, 1.0, 0.0),
         lambda: SmoothBarrierPotential(1.0, math.inf, 0.0),
         lambda: SmoothBarrierPotential(1.0, 1.0, math.nan),
     ],
-    ids=["omega-inf", "omega-nan", "height-inf", "width-inf", "center-nan"],
+    ids=[
+        "omega-inf", "omega-nan", "omega-squared-inf", "height-inf", "width-inf",
+        "center-nan",
+    ],
 )
 def test_parameters_must_be_finite(build):
     with pytest.raises(ValueError, match="finite"):

@@ -8,8 +8,8 @@ from qclab import CheckResult, VerificationReport, check_against
 
 def _sample_report():
     r = VerificationReport(scenario="demo", metadata={"seed": 1})
-    r.add(check_against("a", 1e-9, 1e-6, "norm stays put"))
-    r.add(check_against("b", 3.9, 3.5, "refinement gain", comparator=">="))
+    r.checks.append(check_against("a", 1e-9, 1e-6, "norm stays put"))
+    r.checks.append(check_against("b", 3.9, 3.5, "refinement gain", comparator=">="))
     r.timing["demo"] = 0.123
     return r
 
@@ -32,7 +32,7 @@ def test_invalid_comparator_is_rejected():
 def test_report_aggregates_pass_state():
     r = _sample_report()
     assert r.passed
-    r.add(check_against("c", 2.0, 1.0, "something tight"))
+    r.checks.append(check_against("c", 2.0, 1.0, "something tight"))
     assert not r.passed
 
 
@@ -61,7 +61,7 @@ def test_serialization_is_canonical():
     a = _sample_report()
     b = VerificationReport(scenario="demo", metadata={"seed": 1})
     for c in a.checks:
-        b.add(c)
+        b.checks.append(c)
     b.timing["demo"] = 99.9  # different runtime, different timestamp
     assert a.to_json(volatile=False) == b.to_json(volatile=False)
     # keys are sorted, so insertion order of metadata cannot leak through
@@ -79,12 +79,12 @@ def test_summary_lines_one_per_check_plus_verdict():
     assert lines[0].startswith("[PASS] a:")
     assert lines[1].startswith("[PASS] b:")
     assert lines[2] == "[PASS] scenario demo: 2/2 checks"
-    r.add(check_against("c", 2.0, 1.0, "tight"))
+    r.checks.append(check_against("c", 2.0, 1.0, "tight"))
     assert r.summary_lines()[-1] == "[FAIL] scenario demo: 2/3 checks"
 
 
 def test_measured_values_serialize_with_full_precision():
     r = VerificationReport(scenario="demo")
-    r.add(check_against("x", 0.1 + 0.2, 1.0, "float fidelity"))
+    r.checks.append(check_against("x", 0.1 + 0.2, 1.0, "float fidelity"))
     payload = json.loads(r.to_json())
     assert payload["checks"][0]["measured"] == 0.30000000000000004

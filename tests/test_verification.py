@@ -13,34 +13,38 @@ import qclab
 from qclab import ConfigError, make_context, verification
 from qclab.cli import main
 from qclab.config import RunConfig
-from qclab.verification import CRITERIA, DEFAULT_TOLERANCES, GREATER_EQUAL, run_verify_all
+from qclab.verification import CHECKS, CRITERIA, run_verify_all
+
+DEFAULTS = {name: tolerance for name, (tolerance, _, _) in CHECKS.items()}
 
 
 def test_default_context_carries_the_full_table():
     ctx = make_context()
-    assert ctx.tolerances == DEFAULT_TOLERANCES
+    assert ctx.tolerances == DEFAULTS
     assert ctx.seed == 20260814
 
 
 def test_check_requires_a_registered_name():
     ctx = make_context()
     with pytest.raises(KeyError, match="no tolerance registered"):
-        ctx.check("made_up_check", 0.0, "nothing")
+        ctx.check("made_up_check", 0.0)
 
 
 def test_check_picks_the_comparator_from_the_name():
     ctx = make_context()
-    upper = ctx.check("norm_drift", 0.0, "i")
+    upper = ctx.check("norm_drift", 0.0)
     assert upper.comparator == "<=" and upper.passed
-    lower = ctx.check("stationary_overlap", 0.9, "i")
+    assert upper.identity == "Crank-Nicolson conserves the discrete norm"
+    lower = ctx.check("stationary_overlap", 0.9, "detail text")
     assert lower.comparator == ">=" and not lower.passed
+    assert lower.detail == "detail text"
 
 
 def test_overrides_replace_single_entries():
     config = RunConfig({"tolerance.norm_drift": 3e-7})
     ctx = make_context(config)
     assert ctx.tolerances["norm_drift"] == 3e-7
-    assert ctx.tolerances["energy_drift"] == DEFAULT_TOLERANCES["energy_drift"]
+    assert ctx.tolerances["energy_drift"] == DEFAULTS["energy_drift"]
 
 
 def test_overrides_must_name_known_checks():
@@ -58,8 +62,8 @@ def test_overrides_must_be_positive_except_the_exact_zero_gate():
 
 def test_scale_multiplies_upper_bounds_only():
     ctx = make_context(tolerance_scale=10.0)
-    for name, default in DEFAULT_TOLERANCES.items():
-        if name in GREATER_EQUAL:
+    for name, (default, comparator, _) in CHECKS.items():
+        if comparator == ">=":
             assert ctx.tolerances[name] == default
         else:
             assert ctx.tolerances[name] == pytest.approx(10.0 * default)
