@@ -133,6 +133,14 @@ def _write_wavefunction_csv(path: Path, psi: WaveFunction) -> None:
 Outcome = tuple[dict, list[CheckResult]]
 
 
+def _plane_wave_energy(config: RunConfig, key: str) -> float | None:
+    """config[key], refused where the momentum sqrt(2mE) overflows."""
+    energy = config.get(key)
+    if energy is not None and not np.isfinite(2.0 * config.constants.mass * energy):
+        raise ConfigError(f"{key} = {energy!r}: the momentum sqrt(2mE) overflows")
+    return energy
+
+
 def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
     h = assemble_hamiltonian(config.potential, config.grid, config.constants)
     return solve_lowest_eigenpairs(h, k)
@@ -232,7 +240,7 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     if kind is None:
         kind = "csv" if config.get("madelung.csv") else "plane_wave"
     kind = kind.lower()
-    energy = config.get("madelung.energy")
+    energy = _plane_wave_energy(config, "madelung.energy")
     oscillator_index = None
 
     if kind == "plane_wave":
@@ -318,9 +326,15 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     potential = config.potential
     dt = config.get("hj.dt")
     n_steps = config.get("hj.n_steps")
-    trajectory = integrate_hamilton(
-        potential, config.get("hj.x0"), config.get("hj.p0"), dt, n_steps, constants
-    )
+    x0, p0 = config.get("hj.x0"), config.get("hj.p0")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        trajectory = integrate_hamilton(potential, x0, p0, dt, n_steps, constants)
+        kinetic = trajectory.momenta**2 / (2.0 * constants.mass)
+        h_series = kinetic + potential.energy(trajectory.positions, constants)
+    if not np.all(np.isfinite(h_series)):
+        raise ConfigError(
+            f"hj.x0 = {x0!r}, hj.p0 = {p0!r}, hj.dt = {dt!r}: the orbit's energy overflows"
+        )
     _write_columns(
         out / "trajectory.csv",
         ["t", "x", "p", "action"],
@@ -331,9 +345,6 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     )
 
     metadata = {"dt": dt, "n_steps": n_steps, "potential": config.get("potential.kind")}
-    h_series = trajectory.momenta**2 / (2.0 * constants.mass) + potential.energy(
-        trajectory.positions, constants
-    )
     h0 = h_series[0]
     scale = max(abs(float(h0)), 1e-12)
     checks = [
@@ -349,7 +360,7 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
         return metadata, checks
     s0_kind = s0_kind.lower()
     if s0_kind == "free":
-        s_fn = free_principal_function(config.get("hj.energy"), constants)
+        s_fn = free_principal_function(_plane_wave_energy(config, "hj.energy"), constants)
         s0 = s_fn(grid.x, 0.0)
     elif s0_kind == "zero":
         s0 = np.zeros(grid.n_points)
@@ -385,7 +396,7 @@ def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome
     metadata: dict = {"comparison": scenario}
 
     if scenario == "free":
-        energy = config.get("hj.energy")
+        energy = _plane_wave_energy(config, "hj.energy")
         offset, checks = inertial_checks(ctx, grid, energy, f"E={energy}")
         metadata["constant_offset"] = offset
     elif scenario == "harmonic-ground":

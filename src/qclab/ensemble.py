@@ -39,8 +39,7 @@ class WeightingFunction:
     """Complex weights c_n over a fixed eigenstate list.
 
     Construction is permissive (projections of out-of-subspace states
-    legitimately carry total weight < 1, reported as leakage);
-    build_superposition enforces unit weight.
+    carry total weight < 1); build_superposition enforces unit weight.
     """
 
     coefficients: np.ndarray
@@ -54,11 +53,6 @@ class WeightingFunction:
     @property
     def total_weight(self) -> float:
         return float(np.sum(np.abs(self.coefficients) ** 2))
-
-    @property
-    def leakage(self) -> float:
-        """Weight missing from the spanned subspace, 1 - sum |c_n|^2."""
-        return 1.0 - self.total_weight
 
     def normalized(self) -> "WeightingFunction":
         w = np.sqrt(self.total_weight)

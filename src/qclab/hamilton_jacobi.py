@@ -63,13 +63,15 @@ class PrincipalFunctionField:
 
     validity_mask[k, i] is False where no single-valued S exists at that
     space-time point: outside the characteristic fan, or anywhere from
-    the first caustic onward.
+    the first caustic onward.  first_masked_step is the first sweep step
+    whose slice is fully masked, stored or not (None if there is none).
     """
 
     s: np.ndarray
     validity_mask: np.ndarray
     times: np.ndarray
     grid: Grid1D
+    first_masked_step: int | None = None
 
     def __post_init__(self) -> None:
         if self.s.shape != self.validity_mask.shape:
@@ -188,6 +190,7 @@ def principal_function_from_characteristics(
     dt: float,
     n_steps: int,
     constants: PhysicalConstants = PhysicalConstants(),
+    store_every: int = 1,
 ) -> PrincipalFunctionField:
     """S(x, t) by launching one characteristic per grid point.
 
@@ -196,30 +199,36 @@ def principal_function_from_characteristics(
     their current positions and linearly re-interpolated to the grid.
     Points outside the transported fan are masked, and the first slice
     at which the endpoint ordering inverts (characteristics crossing —
-    a caustic) masks itself and everything after it.
+    a caustic) masks itself and everything after it.  Only the slices of
+    steps 0, store_every, 2 store_every, ... <= n_steps are stored.
     """
     if s0.shape != (grid.n_points,):
         raise ValueError("s0 must be sampled on the grid")
     _check_steps(dt, n_steps)
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
     p0 = gradient(s0, grid.dx)
-    n_slices = n_steps + 1
+    n_slices = n_steps // store_every + 1
     s = np.full((n_slices, grid.n_points), np.nan)
     mask = np.zeros((n_slices, grid.n_points), dtype=bool)
-    s[0] = s0
-    mask[0] = True
-    # one slice at a time: the characteristics are never stored, and the
+    s[0], mask[0] = s0, True
+    first_masked = None
+    # one step at a time: the characteristics are never stored, and the
     # sweep stops at the first crossing (every later slice is masked)
     steps = _verlet_with_action(potential, grid.x.copy(), p0, dt, n_steps, constants)
     next(steps)
     for k, (pos, _, action) in enumerate(steps, start=1):
-        if np.any(np.diff(pos) <= 0.0):
-            break
-        s[k] = np.interp(grid.x, pos, s0 + action, left=np.nan, right=np.nan)
+        crossed = np.any(np.diff(pos) <= 0.0)
         inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
-        s[k, ~inside] = np.nan
-        mask[k] = inside
-    times = dt * np.arange(n_slices)
-    return PrincipalFunctionField(s, mask, times, grid)
+        if first_masked is None and (crossed or not inside.any()):
+            first_masked = k
+        if crossed:
+            break
+        if k % store_every == 0:
+            s[k // store_every] = np.where(inside, np.interp(grid.x, pos, s0 + action), np.nan)
+            mask[k // store_every] = inside
+    times = dt * (store_every * np.arange(n_slices))
+    return PrincipalFunctionField(s, mask, times, grid, first_masked)
 
 
 def hj_residual(

@@ -26,6 +26,7 @@ stencils touch them.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -215,8 +216,8 @@ def madelung_residuals(
     The temporal phase derivative is computed from the principal angle of
     psi_{k+1} * conj(psi_{k-1}), which equals the central difference of
     Phi whenever the true phase advance over 2*dt stays below pi*hbar —
-    no cross-slice branch bookkeeping needed.  Node masks, their
-    dilation, and branch-jump guards all enter as NaN.
+    no cross-slice branch bookkeeping needed.  Node masks, dilations and
+    branch-jump guards enter as NaN; three slices are held at a time.
     """
     if len(series) < 3:
         raise ValueError("need at least 3 time slices for central differences")
@@ -230,34 +231,34 @@ def madelung_residuals(
         raise ValueError("potential_values must live on the series grid")
     m, hbar = constants.mass, constants.hbar
 
-    polars = [decompose(w, constants) for w in series]
-    guarded = [phase_jump_guard(p, constants) for p in polars]
-    log_lam = [
-        np.where(p.node_mask, np.nan, np.log(np.where(p.node_mask, 1.0, p.modulus)))
-        for p in polars
-    ]
-    v_qs = [quantum_potential(p, constants) for p in polars]
+    def prepare(w: WaveFunction):  # (node mask, guarded phase, ln lambda, v_q)
+        p = decompose(w, constants)
+        safe = np.where(p.node_mask, 1.0, p.modulus)
+        log_lam = np.where(p.node_mask, np.nan, np.log(safe))
+        v_q = quantum_potential(p, constants)
+        return p.node_mask, phase_jump_guard(p, constants), log_lam, v_q
 
+    window = deque(map(prepare, series[:2]), maxlen=3)
     n_rows = len(series) - 2
     r_phase = np.empty((n_rows, grid.n_points))
     r_cont = np.empty((n_rows, grid.n_points))
     for row in range(n_rows):
         k = row + 1
-        grad_phi = gradient(guarded[k], grid.dx)
-        lap_phi = second_derivative(guarded[k], grid.dx)
-        grad_log = gradient(log_lam[k], grid.dx)
+        window.append(prepare(series[k + 1]))
+        (mask_prev, _, log_prev, _), middle, (mask_next, _, log_next, _) = window
+        _, guarded, log_lam, v_q = middle
+        grad_phi = gradient(guarded, grid.dx)
+        lap_phi = second_derivative(guarded, grid.dx)
+        grad_log = gradient(log_lam, grid.dx)
         dphi_dt = (
             hbar
             * np.angle(series[k + 1].values * np.conj(series[k - 1].values))
             / (2.0 * dt)
         )
         # a masked neighbour slice must poison the time stencil too
-        either = polars[k - 1].node_mask | polars[k + 1].node_mask
-        dphi_dt[either] = np.nan
-        dlog_dt = (log_lam[k + 1] - log_lam[k - 1]) / (2.0 * dt)
-        r_phase[row] = (
-            grad_phi**2 / (2.0 * m) + potential_values + v_qs[k] + dphi_dt
-        )
+        dphi_dt[mask_prev | mask_next] = np.nan
+        dlog_dt = (log_next - log_prev) / (2.0 * dt)
+        r_phase[row] = grad_phi**2 / (2.0 * m) + potential_values + v_q + dphi_dt
         r_cont[row] = lap_phi + 2.0 * grad_phi * grad_log + 2.0 * m * dlog_dt
     return r_phase, r_cont
 

@@ -30,10 +30,12 @@ the calling thread, so checks and report rows keep that order.  The three
 Crank-Nicolson evolutions they share (the ground state, the Ehrenfest
 packet, the superposition) run meanwhile on a second thread; each is one
 single-threaded evolve call, the same as when a scenario computes it on
-first read.  Wall-clock seconds per scenario go into the report's timing
-block, which is excluded from byte-identity comparisons.  An entry is
-the scenario's own work plus any wait for a prefetched evolution; the
-eigensolve, done before the first scenario, is in no entry.
+first read.  Each intermediate holds only what its scenarios read (of
+the packet evolution, <x>(t)).  Wall-clock seconds per scenario go into
+the report's timing block, which is excluded from byte-identity
+comparisons.  An entry is the scenario's own work plus any wait for a
+prefetched evolution; the eigensolve, done before the first scenario, is
+in no entry.
 """
 from __future__ import annotations
 
@@ -304,18 +306,21 @@ class VerifyContext:
         )
 
     @_shared
-    def packet_evolution(self) -> EvolutionResult:
+    def packet_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times, <x>) of the Ehrenfest packet's stored slices, then dropped."""
         packet = gaussian_packet(
             self.harmonic_grid, 2.0, 0.0, 2.0**-0.5, self.constants
         )
-        return evolve(
+        slices = evolve(
             packet,
             self.harmonic_potential_values,
             _DT,
             _EHRENFEST_STEPS,
             self.constants,
             store_every=20,
-        )
+        ).slices
+        positions = [expectation(w, Observable.POSITION, self.constants) for w in slices]
+        return np.array([w.time for w in slices]), np.array(positions)
 
     @_shared
     def superposition_weights(self) -> WeightingFunction:
@@ -341,7 +346,7 @@ class VerifyContext:
 
 # the Crank-Nicolson runs run_verify_all computes on its pool, in the order
 # the scenarios first read them
-_PREFETCHED = ("ground_evolution", "packet_evolution", "superposition_evolution")
+_PREFETCHED = ("ground_evolution", "packet_positions", "superposition_evolution")
 
 
 def inertial_checks(
@@ -483,14 +488,14 @@ def _two_state_residual_peaks(
 
 
 def criterion_madelung_residuals(ctx: VerifyContext) -> list[CheckResult]:
-    result = ctx.ground_evolution
-    times = np.array([w.time for w in result.slices])
+    slices = ctx.ground_evolution.slices
+    # row k is slice k+1, so the rows within one period need one slice more
+    n_rows = sum(w.time <= _PERIOD + 1e-9 for w in slices[1:-1])
     r_phase, r_cont = madelung_residuals(
-        result.slices, ctx.harmonic_potential_values, ctx.constants
+        slices[: n_rows + 2], ctx.harmonic_potential_values, ctx.constants
     )
-    in_period = times[1:-1] <= _PERIOD + 1e-9
-    phase_max = float(np.nanmax(np.abs(r_phase[in_period])))
-    cont_max = float(np.nanmax(np.abs(r_cont[in_period])))
+    phase_max = float(np.nanmax(np.abs(r_phase)))
+    cont_max = float(np.nanmax(np.abs(r_cont)))
 
     coarse = _two_state_residual_peaks(ctx, 601)
     fine = _two_state_residual_peaks(ctx, 1201)
@@ -548,11 +553,7 @@ def criterion_unitarity(ctx: VerifyContext) -> list[CheckResult]:
 
 
 def criterion_ehrenfest(ctx: VerifyContext) -> list[CheckResult]:
-    result = ctx.packet_evolution
-    positions = np.array(
-        [expectation(w, Observable.POSITION, ctx.constants) for w in result.slices]
-    )
-    times = np.array([w.time for w in result.slices])
+    times, positions = ctx.packet_positions
     trajectory = integrate_hamilton(
         HarmonicPotential(_OMEGA), 2.0, 0.0, _DT, _EHRENFEST_STEPS, ctx.constants
     )
@@ -628,14 +629,13 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
         _DT,
         1600,
         ctx.constants,
+        store_every=1600,
     )
-    slice_valid = rest.validity_mask.any(axis=1)
-    if slice_valid.all():
+    if rest.first_masked_step is None:
         caustic_steps = float("inf")
         detail = "no caustic detected within the horizon"
     else:
-        first_masked = int(np.argmin(slice_valid))
-        t_caustic = rest.times[first_masked]
+        t_caustic = rest.first_masked_step * _DT
         caustic_steps = float(abs(t_caustic - 0.25 * _PERIOD) / _DT)
         detail = f"first fully-masked slice at t={t_caustic:.4f}, period/4={0.25 * _PERIOD:.4f}"
     return [

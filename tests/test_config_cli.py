@@ -501,6 +501,41 @@ def test_values_that_pass_parsing_but_are_not_finite_exit_2(
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, lines, key",
+    [
+        ("hj", ["hj.p0 = 1e308", "hj.n_steps = 10"], "hj.p0"),
+        ("hj", ["potential.kind = harmonic", "hj.x0 = 1e200", "hj.n_steps = 10"], "hj.x0"),
+        # Verlet is unstable for omega dt > 2: the orbit grows until it overflows
+        ("hj", ["potential.kind = harmonic", "hj.dt = 3", "hj.n_steps = 2000"], "hj.dt"),
+        ("hj", ["hj.s0 = free", "hj.energy = 1e308", "hj.n_steps = 10"], "hj.energy"),
+        ("hj-compare", ["compare.scenario = free", "hj.energy = 1e308"], "hj.energy"),
+        ("madelung", ["madelung.energy = 1e308"], "madelung.energy"),
+    ],
+    ids=["hj-p0", "hj-x0", "hj-dt", "hj-s0-energy", "hj-compare-energy", "madelung-energy"],
+)
+def test_finite_values_whose_derived_values_overflow_exit_2(
+    tmp_path, capsys, subcommand, lines, key
+):
+    # each value parses as a finite float, but p^2/2m, V(x) or sqrt(2mE)
+    # overflows; without the guard the report carries NaN and exits 1
+    cfg = _write(tmp_path, "".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qclab: config error: ")
+    assert key in err[0]
+    assert not (out / "report.json").exists()
+
+
+def test_a_large_finite_orbit_energy_still_runs(tmp_path):
+    cfg = _write(tmp_path, "hj.p0 = 1e150\nhj.n_steps = 10\n")
+    out = tmp_path / "out"
+    assert main(["hj", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"][0]["measured"] == 0.0
+
+
 def test_a_large_omega_with_a_finite_square_still_runs(tmp_path):
     cfg = _write(tmp_path, SMALL_HARMONIC + "potential.omega = 1e150\n")
     out = tmp_path / "out"

@@ -27,7 +27,7 @@ def test_weighting_normalization_and_leakage():
     assert w.total_weight == pytest.approx(25.0)
     n = w.normalized()
     assert n.total_weight == pytest.approx(1.0)
-    assert abs(n.leakage) < 1e-15
+    assert abs(1.0 - n.total_weight) < 1e-15
     with pytest.raises(ValueError, match="all-zero"):
         WeightingFunction(np.zeros(2, dtype=complex)).normalized()
     with pytest.raises(ValueError, match="1D"):
@@ -42,7 +42,7 @@ def test_superposition_roundtrips_through_projection(harmonic_pairs):
     assert abs(psi.norm - 1.0) < 1e-10
     back = project(psi, harmonic_pairs)
     assert np.max(np.abs(back.coefficients - c.coefficients)) < 1e-10
-    assert abs(back.leakage) < 1e-10
+    assert abs(1.0 - back.total_weight) < 1e-10
 
 
 def test_superposition_requires_unit_weight(harmonic_pairs):
@@ -61,8 +61,7 @@ def test_projection_of_outside_state_reports_leakage(harmonic_pairs, constants):
     grid = harmonic_pairs[0].state.grid
     psi = gaussian_packet(grid, 4.0, 0.0, 2.0**-0.5, constants)
     w = project(psi, harmonic_pairs)
-    assert 0.0 < w.leakage < 1.0
-    assert w.total_weight < 1.0
+    assert 0.0 < w.total_weight < 1.0
 
 
 def test_energy_distribution_matches_pairs(harmonic_pairs):

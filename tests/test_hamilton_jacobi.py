@@ -192,6 +192,70 @@ def test_streamed_sweep_equals_the_stored_orbit_field(
     assert np.array_equal(field.times, times)
 
 
+def _first_masked(field):
+    """The first fully masked slice of a store_every=1 field, or None."""
+    valid = field.validity_mask.any(axis=1)
+    return None if valid.all() else int(np.argmin(valid))
+
+
+@pytest.mark.parametrize("store_every", [7, 50, 1000])
+@pytest.mark.parametrize(
+    "potential, s0_kind, dt, n_steps",
+    [
+        (FreePotential(), "free", 1e-2, 100),
+        (HarmonicPotential(1.0), "free", 1e-2, 120),
+        (HarmonicPotential(1.0), "zero", 1e-2, 250),
+    ],
+    ids=["free", "harmonic", "harmonic-past-caustic"],
+)
+def test_strided_sweep_keeps_every_sth_row_of_the_full_field(
+    constants, potential, s0_kind, dt, n_steps, store_every
+):
+    grid = build_grid(-5.0, 5.0, 401)
+    if s0_kind == "free":
+        s0 = np.asarray(free_principal_function(0.5, constants)(grid.x, 0.0))
+    else:
+        s0 = np.zeros(grid.n_points)
+    full = principal_function_from_characteristics(
+        potential, s0, grid, dt, n_steps, constants
+    )
+    strided = principal_function_from_characteristics(
+        potential, s0, grid, dt, n_steps, constants, store_every=store_every
+    )
+    rows = slice(None, None, store_every)
+    assert np.array_equal(strided.s, full.s[rows], equal_nan=True)
+    assert np.array_equal(strided.validity_mask, full.validity_mask[rows])
+    assert np.array_equal(strided.times, full.times[rows])
+    assert strided.first_masked_step == full.first_masked_step == _first_masked(full)
+    if s0_kind == "zero":
+        # the crossing at t = pi/2 falls between stored slices
+        assert full.first_masked_step == 158
+
+
+def test_an_empty_fan_before_the_crossing_is_the_first_masked_step(constants):
+    # x(t) = x0 cos t: the fan [-cos t, cos t] passes the inner points
+    # +-1/3 at t = acos(1/3) = 1.23, before the crossing at pi/2
+    grid = build_grid(-1.0, 1.0, 4)
+    dt, n_steps = 1e-2, 200
+    args = (HarmonicPotential(1.0), np.zeros(4), grid, dt, n_steps, constants)
+    full = principal_function_from_characteristics(*args)
+    first = full.first_masked_step
+    assert first == _first_masked(full)
+    assert abs(first * dt - math.acos(1.0 / 3.0)) <= dt
+    assert not full.validity_mask[first:].any()
+    strided = principal_function_from_characteristics(*args, store_every=100)
+    assert strided.first_masked_step == first
+    assert np.array_equal(strided.validity_mask, full.validity_mask[::100])
+
+
+def test_the_sweep_rejects_a_zero_stride(constants):
+    grid = build_grid(-1.0, 1.0, 11)
+    with pytest.raises(ValueError, match="store_every"):
+        principal_function_from_characteristics(
+            FreePotential(), np.zeros(11), grid, 0.1, 3, constants, store_every=0
+        )
+
+
 def test_sweep_memory_is_its_output_not_the_orbits(constants):
     # 1601 slices x 1201 points: storing the position, momentum and action
     # of every characteristic would triple the output's footprint

@@ -23,12 +23,14 @@ from qclab import (
 from qclab.madelung import (
     align_phase_series,
     madelung_residuals,
+    phase_jump_guard,
     verify_1d_amplitude_relation,
     verify_modified_hj,
     verify_oscillator_identity,
 )
 from qclab.spectral import EigenPair
 from qclab.states import WaveFunction
+from qclab.stencils import gradient, second_derivative
 
 
 @settings(deadline=None, max_examples=30)
@@ -208,6 +210,61 @@ def test_madelung_residuals_on_analytic_stationary_series(
     assert np.nanmax(np.abs(r_cont)) < 1e-8    # static modulus: exact
     core = np.abs(harmonic_grid.x) < 3.0
     assert np.nanmax(np.abs(r_phase[0, core])) < 2e-4
+
+
+def _residuals_from_lists(series, v, constants):
+    """madelung_residuals with every slice's polar form held in lists."""
+    dx, dt = series[0].grid.dx, series[1].time - series[0].time
+    m, hbar = constants.mass, constants.hbar
+    polars = [decompose(w, constants) for w in series]
+    guarded = [phase_jump_guard(p, constants) for p in polars]
+    log_lam = [
+        np.where(p.node_mask, np.nan, np.log(np.where(p.node_mask, 1.0, p.modulus)))
+        for p in polars
+    ]
+    v_qs = [quantum_potential(p, constants) for p in polars]
+    r_phase, r_cont = [], []
+    for k in range(1, len(series) - 1):
+        grad_phi = gradient(guarded[k], dx)
+        lap_phi = second_derivative(guarded[k], dx)
+        grad_log = gradient(log_lam[k], dx)
+        dphi_dt = (
+            hbar
+            * np.angle(series[k + 1].values * np.conj(series[k - 1].values))
+            / (2.0 * dt)
+        )
+        dphi_dt[polars[k - 1].node_mask | polars[k + 1].node_mask] = np.nan
+        dlog_dt = (log_lam[k + 1] - log_lam[k - 1]) / (2.0 * dt)
+        r_phase.append(grad_phi**2 / (2.0 * m) + v + v_qs[k] + dphi_dt)
+        r_cont.append(lap_phi + 2.0 * grad_phi * grad_log + 2.0 * m * dlog_dt)
+    return np.array(r_phase), np.array(r_cont)
+
+
+@pytest.mark.parametrize("levels", [(0, 1, 3), (3,)], ids=["superposition", "odd"])
+def test_sliding_window_residuals_equal_the_list_reference(
+    harmonic_grid, constants, levels
+):
+    # the odd eigenstate has a node on the grid and a pi*hbar step beside
+    # each one between grid points: masks, dilations and guards all enter
+    phis = [
+        harmonic_eigenfunction(n, harmonic_grid, 1.0, constants).values for n in levels
+    ]
+    dt = 0.05
+    slices = [
+        WaveFunction(
+            sum(phi * np.exp(-1j * (n + 0.5) * k * dt) for n, phi in zip(levels, phis)),
+            harmonic_grid,
+            k * dt,
+        )
+        for k in range(9)
+    ]
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
+    r_phase, r_cont = madelung_residuals(slices, v, constants)
+    ref_phase, ref_cont = _residuals_from_lists(slices, v, constants)
+    assert r_phase.shape == (7, harmonic_grid.n_points)
+    assert np.isnan(r_phase).any()
+    assert np.array_equal(r_phase, ref_phase, equal_nan=True)
+    assert np.array_equal(r_cont, ref_cont, equal_nan=True)
 
 
 def test_madelung_residuals_need_uniform_times(harmonic_grid, constants):

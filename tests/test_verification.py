@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -210,3 +211,50 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fa
     assert len(calls) == 1
     assert len(outcomes) == 4 and all(o is outcomes[0] for o in outcomes)
     assert isinstance(outcomes[0], RuntimeError) == fails
+
+
+# --- memory: each scenario holds only what its checks read --------------------
+
+
+@pytest.fixture(scope="module")
+def warm_context():
+    """A context with the grids, eigenpairs and ground evolution in place."""
+    ctx = make_context()
+    ctx.wide_grid, ctx.harmonic_potential_values, ctx.ground_evolution
+    return ctx
+
+
+def _traced(compute):
+    """(bytes still held, peak bytes) allocated while compute() runs."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_characteristics_scenario_keeps_the_caustic_sweep_small(warm_context):
+    # the free-motion field (101 x 4001) and its check's temporaries; the
+    # 1601 x 2401 rest-release sweep would take 34.6 MB on its own
+    free_field = 101 * 4001 * 8
+    _, peak = _traced(lambda: verification.criterion_characteristics(warm_context))
+    assert peak < 5 * free_field  # 16.2 MB
+
+
+def test_the_madelung_scenario_holds_a_window_not_the_series(warm_context):
+    # the two residual arrays cover the 103 rows within one period; held
+    # for all 165 slices, the polar forms would add ~16 MB
+    rows = 103 * 2401 * 8
+    _, peak = _traced(lambda: verification.criterion_madelung_residuals(warm_context))
+    assert peak < 6 * rows  # 11.9 MB
+
+
+def test_the_packet_intermediate_is_its_positions():
+    ctx = make_context()
+    ctx.harmonic_potential_values
+    # the 316 stored slices take 316 x 2401 x 16 B = 12.1 MB while evolving
+    held, _ = _traced(lambda: ctx.packet_positions)
+    assert held < 1e6
+    times, positions = ctx.packet_positions
+    assert times.shape == positions.shape == (316,)
