@@ -34,7 +34,6 @@ from .hamilton_jacobi import (
 from .madelung import (
     AmplitudeRelationResult,
     PolarField,
-    align_phase_series,
     decompose,
     madelung_residuals,
     phase_jump_guard,

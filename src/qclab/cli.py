@@ -39,7 +39,6 @@ from .ensemble import (
     EnsembleSpec,
     WeightingFunction,
     build_superposition,
-    check_run_arguments,
     compare_energy_statistics,
     energy_distribution,
     nearest_level_counts,
@@ -47,7 +46,7 @@ from .ensemble import (
     run_classical_ensemble,
 )
 from .evolution import Observable, evolve, expectation
-from .grids import Grid1D
+from .grids import Grid1D, check_run_arguments
 from .hamilton_jacobi import (
     free_principal_function,
     integrate_hamilton,
@@ -327,6 +326,22 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     dt = config.get("hj.dt")
     n_steps = config.get("hj.n_steps")
     x0, p0 = config.get("hj.x0"), config.get("hj.p0")
+    # every key is refused before the first file is written
+    s0_kind = config.get("hj.s0")
+    if s0_kind is not None:
+        s0_kind = s0_kind.lower()
+        if s0_kind == "free":
+            s_fn = free_principal_function(_plane_wave_energy(config, "hj.energy"), constants)
+            s0 = s_fn(grid.x, 0.0)
+        elif s0_kind == "zero":
+            s0 = np.zeros(grid.n_points)
+        else:
+            raise ConfigError(f"unknown hj.s0 {s0_kind!r} (free | zero)")
+        stride = config.get("hj.store_every")
+        if stride is None:
+            stride = max(1, n_steps // 10)
+        if stride < 1:
+            raise ConfigError(f"hj.store_every must be >= 1, got {stride}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         trajectory = integrate_hamilton(potential, x0, p0, dt, n_steps, constants)
         kinetic = trajectory.momenta**2 / (2.0 * constants.mass)
@@ -354,36 +369,26 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
             f"relative to H(0)={float(h0)!r}",
         )
     ]
-
-    s0_kind = config.get("hj.s0")
     if s0_kind is None:
         return metadata, checks
-    s0_kind = s0_kind.lower()
-    if s0_kind == "free":
-        s_fn = free_principal_function(_plane_wave_energy(config, "hj.energy"), constants)
-        s0 = s_fn(grid.x, 0.0)
-    elif s0_kind == "zero":
-        s0 = np.zeros(grid.n_points)
-    else:
-        raise ConfigError(f"unknown hj.s0 {s0_kind!r} (free | zero)")
-    stride = config.get("hj.store_every")
-    if stride is None:
-        stride = max(1, n_steps // 10)
-    if stride < 1:
-        raise ConfigError(f"hj.store_every must be >= 1, got {stride}")
+
+    # the free-motion check reads every step; otherwise the sweep stores
+    # only the slices that are written
+    free_check = s0_kind == "free" and config.get("potential.kind") == "free"
+    every = 1 if free_check else stride
     field = principal_function_from_characteristics(
-        potential, s0, grid, dt, n_steps, constants
+        potential, s0, grid, dt, n_steps, constants, store_every=every
     )
-    for k in range(0, field.times.size, stride):
-        valid = field.validity_mask[k]
+    for k in range(0, n_steps + 1, stride):
+        valid = field.validity_mask[k // every]
         _write_columns(
             out / f"s_field_{k:04d}.csv",
             ["x", "s", "valid"],
             grid.x,
-            np.where(valid, field.s[k], np.nan),
+            np.where(valid, field.s[k // every], np.nan),
             valid,
         )
-    if s0_kind == "free" and config.get("potential.kind") == "free":
+    if free_check:
         checks.append(
             free_characteristics_check(ctx, field, s_fn, f"{n_steps} steps, dt={dt}")
         )
@@ -477,7 +482,9 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     n_steps = config.get("ensemble.n_steps")
     store_every = config.get("ensemble.store_every")
     # reject bad run arguments before paying for the eigensolve
-    check_run_arguments(dt, n_steps, store_every, n_samples)
+    check_run_arguments(dt, n_steps, store_every)
+    if n_samples < 1:
+        raise ConfigError(f"ensemble.n_samples must be >= 1, got {n_samples}")
     pairs = _solve_pairs(config, k)
     energies = np.array([pair.energy for pair in pairs])
     raw = np.exp(-((energies - mean) ** 2) / (2.0 * sigma**2))

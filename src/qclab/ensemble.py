@@ -18,13 +18,12 @@ seed reproduces histograms bitwise on any platform.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Grid1D, PhysicalConstants
+from .grids import Grid1D, PhysicalConstants, check_run_arguments
 from .potentials import Potential
 from .spectral import EigenPair
 from .states import WaveFunction
@@ -168,17 +167,6 @@ class EnsembleResult:
     final_positions: np.ndarray
     final_momenta: np.ndarray
     metadata: dict = field(repr=False)
-
-
-def check_run_arguments(
-    dt: float, n_steps: int, store_every: int, n_samples: int = 1
-) -> None:
-    """The argument checks of run_classical_ensemble and EnsembleSpec,
-    for callers that want them before building the spec."""
-    if not 0.0 < dt < math.inf or n_steps < 1 or store_every < 1:
-        raise ValueError("dt must be finite and > 0, and step counts >= 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
 
 
 def run_classical_ensemble(

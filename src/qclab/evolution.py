@@ -23,12 +23,11 @@ checks flag anything coarser.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PhysicalConstants
+from .grids import PhysicalConstants, check_run_arguments
 from .spectral import hamiltonian_from_values
 from .states import WaveFunction
 from .stencils import gradient
@@ -66,12 +65,7 @@ def evolve(
     The initial state is always stored (index 0); the final state is
     always stored; n_steps need not be a multiple of store_every.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    check_run_arguments(dt, n_steps, store_every)
     grid = psi0.grid
     if potential_values.shape != (grid.n_points,):
         raise ValueError("potential_values must live on the state's grid")
@@ -126,20 +120,17 @@ def evolve(
 class Observable(enum.Enum):
     POSITION = "position"
     MOMENTUM = "momentum"
-    ENERGY = "energy"
 
 
 def expectation(
     psi: WaveFunction,
     observable: Observable,
     constants: PhysicalConstants = PhysicalConstants(),
-    potential_values: np.ndarray | None = None,
 ) -> float:
     """<psi| O |psi> by trapezoid quadrature; the O(1e-10) imaginary
     residue is asserted small and discarded.
 
-    Momentum applies -i hbar d/dx with the central stencil; Energy needs
-    potential_values and applies the assembled Hamiltonian.  Rejects
+    Momentum applies -i hbar d/dx with the central stencil.  Rejects
     unnormalized states (|norm - 1| > 1e-6).
     """
     norm = psi.norm
@@ -151,17 +142,10 @@ def expectation(
     values = psi.values
     if observable is Observable.POSITION:
         integrand = np.conj(values) * grid.x * values
-    elif observable is Observable.MOMENTUM:
+    else:  # Observable.MOMENTUM
         integrand = np.conj(values) * (
             -1j * constants.hbar * gradient(values, grid.dx)
         )
-    elif observable is Observable.ENERGY:
-        if potential_values is None:
-            raise ValueError("Energy expectation needs potential_values")
-        h = hamiltonian_from_values(potential_values, grid, constants)
-        integrand = np.conj(values) * h.apply(values)
-    else:  # pragma: no cover - enum is closed
-        raise TypeError(f"unknown observable {observable!r}")
     raw = complex(np.trapezoid(integrand, dx=grid.dx))
     scale = max(1.0, abs(raw.real))
     if abs(raw.imag) > _IMAG_RESIDUE_TOL * scale:

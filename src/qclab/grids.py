@@ -75,6 +75,17 @@ class Grid1D:
         return slice(1, self.n_points - 1)
 
 
+def check_run_arguments(dt: float, n_steps: int, store_every: int = 1) -> None:
+    """The argument check every time-stepping runner shares: dt finite
+    and positive, n_steps and store_every at least 1."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+
+
 def build_grid(x_min: float, x_max: float, n_points: int) -> Grid1D:
     """Construct a uniform grid; rejects degenerate bounds and n_points < 3."""
     return Grid1D(float(x_min), float(x_max), int(n_points))

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .grids import Grid1D, PhysicalConstants
+from .grids import Grid1D, PhysicalConstants, check_run_arguments
 from .potentials import Potential
 from .stencils import gradient
 
@@ -129,13 +129,6 @@ def _verlet_with_action(
         yield x, p, action
 
 
-def _check_steps(dt: float, n_steps: int) -> None:
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-
-
 def integrate_hamilton(
     potential: Potential,
     x0: Scalar,
@@ -149,7 +142,7 @@ def integrate_hamilton(
     x0/p0 may be floats (one orbit) or equal-shape arrays (a batch
     advanced in lockstep).
     """
-    _check_steps(dt, n_steps)
+    check_run_arguments(dt, n_steps)
     batch = isinstance(x0, np.ndarray)
     x = np.array(x0, dtype=float, copy=True) if batch else float(x0)
     p = np.array(p0, dtype=float, copy=True) if batch else float(p0)
@@ -204,9 +197,7 @@ def principal_function_from_characteristics(
     """
     if s0.shape != (grid.n_points,):
         raise ValueError("s0 must be sampled on the grid")
-    _check_steps(dt, n_steps)
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    check_run_arguments(dt, n_steps, store_every)
     p0 = gradient(s0, grid.dx)
     n_slices = n_steps // store_every + 1
     s = np.full((n_slices, grid.n_points), np.nan)

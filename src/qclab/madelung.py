@@ -172,32 +172,6 @@ def phase_jump_guard(
     return phase
 
 
-def align_phase_series(
-    fields: Sequence[PolarField],
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> np.ndarray:
-    """Stack phases of a time series, matching 2*pi*hbar branches in time.
-
-    Each slice is shifted by the multiple of 2*pi*hbar that best matches
-    the previous slice at the leftmost point unmasked in both.  Intended
-    for node-free or stationary fields, where one global shift per slice
-    suffices; use it to difference phases across slices (a single slice
-    needs no alignment).
-    """
-    if len(fields) == 0:
-        raise ValueError("empty phase series")
-    stacked = np.stack([f.phase for f in fields])
-    two_pi_hbar = 2.0 * np.pi * constants.hbar
-    for k in range(1, len(fields)):
-        both = ~(fields[k - 1].node_mask | fields[k].node_mask)
-        ref = int(np.argmax(both))
-        if not both[ref]:
-            raise ValueError(f"slices {k-1} and {k} share no unmasked point")
-        delta = stacked[k - 1, ref] - stacked[k, ref]
-        stacked[k] += two_pi_hbar * np.round(delta / two_pi_hbar)
-    return stacked
-
-
 def madelung_residuals(
     series: Sequence[WaveFunction],
     potential_values: np.ndarray,

@@ -65,12 +65,10 @@ from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
     PrincipalFunctionField,
     free_principal_function,
-    hj_residual,
     integrate_hamilton,
     principal_function_from_characteristics,
 )
 from .madelung import (
-    align_phase_series,
     decompose,
     madelung_residuals,
     quantum_potential,
@@ -377,17 +375,11 @@ def phase_action_gap_check(
     potential_values: np.ndarray,
     detail: str,
 ) -> CheckResult:
-    """Classical HJ residual of the aligned phase of three consecutive
-    slices, against -V_q of the middle one."""
-    polars = [decompose(w, ctx.constants) for w in slices]
-    phases = align_phase_series(polars, ctx.constants)
-    field = PrincipalFunctionField(
-        phases, ~np.isnan(phases), np.array([w.time for w in slices]), slices[0].grid
-    )
-    residual = hj_residual(field, potential_values, ctx.constants)[0]
-    v_q_mid = quantum_potential(polars[1], ctx.constants)
+    """Classical HJ residual of the phase of three consecutive slices,
+    plus V_q of the middle one: row 0 of madelung_residuals' r_phase."""
+    r_phase, _ = madelung_residuals(slices, potential_values, ctx.constants)
     return ctx.check(
-        "phase_action_gap_vs_vq", float(np.nanmax(np.abs(residual + v_q_mid))), detail
+        "phase_action_gap_vs_vq", float(np.nanmax(np.abs(r_phase[0]))), detail
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclab.cli
 import qclab.spectral
 from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
 from qclab.cli import _write_columns, main
@@ -381,6 +382,63 @@ def test_hj_rejects_a_zero_field_stride(tmp_path, capsys):
     assert "hj.store_every" in err[0]
 
 
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        (["hj.s0 = bogus"], "hj.s0"),
+        (["hj.s0 = free", "hj.energy = 1e308"], "hj.energy"),
+        (["hj.s0 = zero", "hj.store_every = 0"], "hj.store_every"),
+    ],
+    ids=["s0", "energy", "store-every"],
+)
+def test_hj_refuses_its_field_keys_before_writing_anything(
+    tmp_path, capsys, lines, key
+):
+    cfg = _write(tmp_path, "".join(line + "\n" for line in ["hj.n_steps = 10", *lines]))
+    out = tmp_path / "out"
+    assert main(["hj", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qclab: config error: ")
+    assert key in err[0]
+    assert list(out.iterdir()) == []
+
+
+def test_hj_sweeps_only_the_slices_it_writes(tmp_path, monkeypatch):
+    # rest release in the well: the caustic at t = pi/2 falls between
+    # written slices, so some of them are fully masked
+    sweep = qclab.cli.principal_function_from_characteristics
+    strides = []
+    monkeypatch.setattr(
+        qclab.cli,
+        "principal_function_from_characteristics",
+        lambda *args, store_every: strides.append(store_every) or sweep(
+            *args, store_every=store_every
+        ),
+    )
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC
+        + "hj.x0 = 2.0\nhj.p0 = 0.0\nhj.dt = 5e-3\nhj.n_steps = 600\n"
+        + "hj.s0 = zero\nhj.store_every = 80\n",
+    )
+    out = tmp_path / "out"
+    assert main(["hj", "--config", str(cfg), "--out", str(out)]) == 0
+    assert strides == [80]
+    config = load_run_config(cfg)
+    full = sweep(
+        config.potential, np.zeros(config.grid.n_points), config.grid, 5e-3, 600,
+        config.constants,
+    )
+    written = sorted(out.glob("s_field_*.csv"))
+    assert [p.name for p in written] == [f"s_field_{k:04d}.csv" for k in range(0, 601, 80)]
+    for path in written:
+        k = int(path.stem.removeprefix("s_field_"))
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        assert np.array_equal(data["s"], full.s[k], equal_nan=True)
+        assert np.array_equal(data["valid"].astype(bool), full.validity_mask[k])
+    assert not full.validity_mask[560].any()
+
+
 def test_eigen_rejects_a_grid_span_that_overflows(tmp_path, capsys):
     cfg = _write(
         tmp_path,
@@ -602,6 +660,32 @@ def test_ensemble_rejects_non_finite_dt(tmp_path, capsys, monkeypatch, dt):
     assert err[0].startswith("qclab: config error: ")
     assert err[0].endswith(f"run.config:5: key 'ensemble.dt' must be finite, got '{dt}'")
     assert not (out / "comparison.json").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("ensemble.dt = 0", "qclab: dt must be finite and positive, got 0.0"),
+        ("ensemble.n_steps = 0", "qclab: n_steps must be >= 1, got 0"),
+        ("ensemble.store_every = 0", "qclab: store_every must be >= 1, got 0"),
+        (
+            "ensemble.n_samples = 0",
+            "qclab: config error: ensemble.n_samples must be >= 1, got 0",
+        ),
+    ],
+    ids=["dt", "n_steps", "store_every", "n_samples"],
+)
+def test_ensemble_refuses_run_arguments_before_the_eigensolve(
+    tmp_path, capsys, monkeypatch, line, message
+):
+    calls = []
+    monkeypatch.setattr(
+        qclab.spectral, "lowest_eigenpairs", lambda *args: calls.append(args)
+    )
+    cfg = _write(tmp_path, SMALL_HARMONIC + line + "\n")
+    assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
     assert calls == []
 
 

@@ -177,15 +177,6 @@ def test_position_and_momentum_of_a_packet(constants):
     )
 
 
-def test_energy_expectation_matches_rayleigh_history(harmonic_setup, constants):
-    v, pairs = harmonic_setup
-    psi = pairs[0].state
-    e = expectation(psi, Observable.ENERGY, constants, potential_values=v)
-    assert e == pytest.approx(pairs[0].energy, rel=1e-12)
-    with pytest.raises(ValueError, match="potential_values"):
-        expectation(psi, Observable.ENERGY, constants)
-
-
 def test_expectation_rejects_unnormalized_states(constants):
     grid = build_grid(-12.0, 12.0, 2401)
     psi = gaussian_packet(grid, 0.0, 0.0, 1.0, constants)

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from qclab import PhysicalConstants, build_grid
+from qclab import (
+    EnsembleSpec,
+    FreePotential,
+    PhysicalConstants,
+    build_grid,
+    evolve,
+    gaussian_packet,
+    integrate_hamilton,
+    principal_function_from_characteristics,
+    run_classical_ensemble,
+)
+from qclab.grids import check_run_arguments
 
 
 def test_grid_is_uniform_and_inclusive():
@@ -46,3 +57,48 @@ def test_constants_must_be_positive():
 def test_constants_must_be_finite(kwargs):
     with pytest.raises(ValueError, match="positive and finite"):
         PhysicalConstants(**kwargs)
+
+
+_GRID = build_grid(-1.0, 1.0, 11)
+_PACKET = gaussian_packet(_GRID, 0.0, 0.0, 0.3, PhysicalConstants())
+_RUNNERS = {
+    "evolve": lambda dt, n, every: evolve(
+        _PACKET, np.zeros(11), dt, n, store_every=every
+    ),
+    "integrate_hamilton": lambda dt, n, every: integrate_hamilton(
+        FreePotential(), 0.0, 1.0, dt, n
+    ),
+    "characteristics": lambda dt, n, every: principal_function_from_characteristics(
+        FreePotential(), np.zeros(11), _GRID, dt, n, store_every=every
+    ),
+    "ensemble": lambda dt, n, every: run_classical_ensemble(
+        EnsembleSpec(np.array([0.5]), np.array([1.0]), 4, 0),
+        FreePotential(), _GRID, dt, n, store_every=every,
+    ),
+}
+_BAD_ARGUMENTS = {
+    "dt=0": (0.0, 5, 1),
+    "dt=inf": (math.inf, 5, 1),
+    "dt=nan": (math.nan, 5, 1),
+    "n_steps=0": (0.1, 0, 1),
+    "store_every=0": (0.1, 5, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "runner, arguments",
+    [
+        (runner, arguments)
+        for runner in _RUNNERS
+        for arguments in _BAD_ARGUMENTS
+        # integrate_hamilton stores every step and takes no stride
+        if (runner, arguments) != ("integrate_hamilton", "store_every=0")
+    ],
+)
+def test_every_runner_rejects_bad_run_arguments_alike(runner, arguments):
+    dt, n_steps, store_every = _BAD_ARGUMENTS[arguments]
+    with pytest.raises(ValueError) as expected:
+        check_run_arguments(dt, n_steps, store_every)
+    with pytest.raises(ValueError) as raised:
+        _RUNNERS[runner](dt, n_steps, store_every)
+    assert str(raised.value) == str(expected.value)

@@ -21,7 +21,6 @@ from qclab import (
     total_potential,
 )
 from qclab.madelung import (
-    align_phase_series,
     madelung_residuals,
     phase_jump_guard,
     verify_1d_amplitude_relation,
@@ -116,23 +115,6 @@ def test_decompose_rejects_the_zero_state(constants):
     grid = build_grid(-1.0, 1.0, 21)
     with pytest.raises(ValueError):
         decompose(WaveFunction(np.zeros(21, dtype=complex), grid), constants)
-
-
-def test_align_phase_series_undoes_branch_jumps(harmonic_grid, constants):
-    psi = gaussian_packet(harmonic_grid, 0.0, 2.0, 1.0, constants)
-    a = decompose(psi, constants)
-    two_pi_hbar = 2.0 * np.pi * constants.hbar
-    shifted = WaveFunction(psi.values, harmonic_grid, time=0.1)
-    b = decompose(shifted, constants)
-    b = type(b)(
-        modulus=b.modulus,
-        phase=b.phase + 3.0 * two_pi_hbar,
-        node_mask=b.node_mask,
-        grid=b.grid,
-        time=b.time,
-    )
-    stacked = align_phase_series([a, b], constants)
-    assert np.nanmax(np.abs(stacked[1] - stacked[0])) < 1e-9
 
 
 def test_amplitude_relation_is_vacuous_for_real_states(harmonic_grid, constants):

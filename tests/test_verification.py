@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qclab
-from qclab import ConfigError, make_context, verification
+from qclab import ConfigError, evolve, make_context, verification
 from qclab.cli import main
 from qclab.config import RunConfig
 from qclab.verification import CHECKS, CRITERIA, run_verify_all
@@ -258,3 +258,23 @@ def test_the_packet_intermediate_is_its_positions():
     assert held < 1e6
     times, positions = ctx.packet_positions
     assert times.shape == positions.shape == (316,)
+
+
+# --- the phase-action gap on nodal eigenstates ---------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_phase_action_gap_on_a_nodal_eigenstate_is_the_cn_phase_error(n):
+    # an eigenstate's lobes sit at phases 0 and pi and cross the branch cut
+    # at different times; what remains of the gap after V_q is added back
+    # is Crank-Nicolson's phase error E^3 dt^2 / 12
+    ctx = make_context()
+    pair, dt = ctx.harmonic_pairs[n], 1e-3
+    slices = evolve(
+        pair.state, ctx.harmonic_potential_values, dt, 2, ctx.constants
+    ).slices
+    check = verification.phase_action_gap_check(
+        ctx, slices, ctx.harmonic_potential_values, f"n={n}"
+    )
+    assert math.isfinite(check.measured)
+    assert check.measured == pytest.approx(pair.energy**3 * dt**2 / 12.0, rel=1e-3)
