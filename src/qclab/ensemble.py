@@ -7,23 +7,23 @@ solutions,
 
 whose energy statistics {(E_n, |c_n|^2)} are frozen by unitarity.  The
 classical counterpart of such a state is not one trajectory but a
-statistical ensemble of them: a hidden parameter (the 1D stand-in for an
-impact parameter is the launch offset) distributes total energy over the
-samples, each of which then follows Hamilton's equations exactly.  This
-module builds both sides and measures the distance between their energy
-statistics.
+statistical ensemble of them: a hidden parameter distributes total
+energy over the samples, each of which then follows Hamilton's equations
+exactly.  This module builds both sides and measures the distance
+between their energy statistics.
 
 Sampling uses a counter-based generator (see RNG_ALGORITHM) so a fixed
 seed reproduces histograms bitwise on any platform.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants, check_run_arguments
+from .hamilton_jacobi import verlet_step
 from .potentials import Potential
 from .spectral import EigenPair
 from .states import WaveFunction
@@ -153,9 +153,7 @@ class EnsembleResult:
 
     histograms[k] counts sample positions in the grid's bins (edges =
     grid points) at histogram_times[k].  Per-sample columns: the drawn
-    energy, the relative energy drift observed at stored slices, the
-    largest |x| visited (stored slices), and the final phase-space
-    point.
+    energy and the relative energy drift observed at stored slices.
     """
 
     histogram_times: np.ndarray
@@ -163,10 +161,6 @@ class EnsembleResult:
     bin_edges: np.ndarray
     sample_energies: np.ndarray
     energy_drift: np.ndarray
-    max_abs_position: np.ndarray
-    final_positions: np.ndarray
-    final_momenta: np.ndarray
-    metadata: dict = field(repr=False)
 
 
 def run_classical_ensemble(
@@ -176,51 +170,34 @@ def run_classical_ensemble(
     dt: float,
     n_steps: int,
     constants: PhysicalConstants = PhysicalConstants(),
-    x0_rule: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
     store_every: int = 100,
 ) -> EnsembleResult:
     """Integrate n_samples classical orbits drawn from the energy spec.
 
-    Draw order (fixed, for reproducibility): energy indices, then launch
-    positions via x0_rule(energies, rng) (default: all samples start at
-    x = 0), then momentum signs (+/- equiprobable).  The momentum
-    magnitude is set by energy conservation, p0 = sqrt(2m (E - V(x0))),
-    so each sample's Hamiltonian equals its drawn energy exactly at
-    launch; a drawn energy below V(x0), or a non-finite launch position,
+    Every sample launches at x = 0.  Draw order (fixed, for
+    reproducibility): energy indices, then momentum signs (+/-
+    equiprobable).  The momentum magnitude is set by energy
+    conservation, p0 = sqrt(2m (E - V(0))), so each sample's Hamiltonian
+    equals its drawn energy exactly at launch; a drawn energy below V(0)
     is an error.
 
     Verlet is deterministic, so samples that share a launch state share
-    their whole orbit.  The launch rows (x0, p0) are deduplicated by their
-    bit patterns (so -0.0 and +0.0 stay apart), and each distinct row is
-    integrated once: with the default x0_rule a k-level spec has at most
-    2k orbits however many samples it draws; a continuous x0_rule gets
-    one orbit per sample.  Histograms weight each orbit by its sample
-    count, and the per-sample columns are scattered back, so every output
-    equals that of integrating all n_samples rows.
+    their whole orbit.  The launch momenta are deduplicated by their bit
+    patterns (so -0.0 and +0.0 stay apart), and each distinct launch is
+    integrated once: a k-level spec has at most 2k orbits however many
+    samples it draws.  Histograms weight each orbit by its sample count,
+    and the drift column is scattered back, so every output equals that
+    of integrating all n_samples rows.
 
-    The orbits advance in lockstep without storing trajectories:
-    histograms, energy drift, and |x| maxima are accumulated at every
-    store_every-th step (plus the final one).  Positions and momenta are
-    updated in place through one scratch buffer, in the operation order
-    of hamilton_jacobi.verlet_step, so the final phase-space points are
-    bit-identical to integrate_hamilton's from the same launch state.
+    The orbits advance in lockstep through hamilton_jacobi.verlet_step
+    without storing trajectories: histograms and energy drift are
+    accumulated at every store_every-th step (plus the final one).
     """
     check_run_arguments(dt, n_steps, store_every)
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
     n = spec.n_samples
     energies = _draw(rng, spec)
-    if x0_rule is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(x0_rule(energies, rng), dtype=float)
-        if x0.shape != (n,):
-            raise ValueError("x0_rule must return one position per sample")
-        if not np.all(np.isfinite(x0)):
-            bad = int(np.argmin(np.isfinite(x0)))
-            raise ValueError(
-                f"sample {bad}: x0_rule returned the non-finite launch "
-                f"position {x0[bad]}"
-            )
+    x0 = np.zeros(n)
     v0 = potential.energy(x0, constants)
     kinetic = energies - v0
     if np.any(kinetic < 0.0):
@@ -231,16 +208,11 @@ def run_classical_ensemble(
         )
     m = constants.mass
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    launch = np.column_stack((x0, signs * np.sqrt(2.0 * m * kinetic)))
+    p0 = signs * np.sqrt(2.0 * m * kinetic)
     _, first, inverse, counts = np.unique(
-        launch.view(np.dtype((np.void, launch.itemsize * 2))).ravel(),
-        return_index=True,
-        return_inverse=True,
-        return_counts=True,
+        p0.view(np.uint64), return_index=True, return_inverse=True, return_counts=True
     )
-    # owning copies of the distinct launch states: the loop updates them
-    x = launch[first, 0]
-    p = launch[first, 1]
+    x, p = x0[first], p0[first]
 
     def hamiltonian(xv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pv * pv / (2.0 * m) + potential.energy(xv, constants)
@@ -250,46 +222,23 @@ def run_classical_ensemble(
 
     h0 = hamiltonian(x, p)
     drift = np.zeros(x.size)
-    max_abs_x = np.abs(x)
     hist_times = [0.0]
     histograms = [histogram(x)]
 
-    half_dt = 0.5 * dt
-    scratch = np.empty(x.size)
     force = potential.force(x, constants)
     for k in range(1, n_steps + 1):
-        np.multiply(force, half_dt, out=scratch)
-        p += scratch
-        np.multiply(p, dt, out=scratch)
-        scratch /= m
-        x += scratch
-        force = potential.force(x, constants)
-        np.multiply(force, half_dt, out=scratch)
-        p += scratch
+        x, p, force = verlet_step(potential, x, p, force, dt, constants)
         if k % store_every == 0 or k == n_steps:
             np.maximum(drift, np.abs(hamiltonian(x, p) - h0) / np.abs(h0), out=drift)
-            np.maximum(max_abs_x, np.abs(x), out=max_abs_x)
             hist_times.append(k * dt)
             histograms.append(histogram(x))
 
-    metadata = {
-        "rng_algorithm": RNG_ALGORITHM,
-        "rng_seed": spec.rng_seed,
-        "n_samples": n,
-        "dt": dt,
-        "n_steps": n_steps,
-        "store_every": store_every,
-    }
     return EnsembleResult(
         histogram_times=np.asarray(hist_times),
         histograms=np.asarray(histograms),
         bin_edges=grid.x.copy(),
         sample_energies=energies,
         energy_drift=drift[inverse],
-        max_abs_position=max_abs_x[inverse],
-        final_positions=x[inverse],
-        final_momenta=p[inverse],
-        metadata=metadata,
     )
 
 

@@ -69,11 +69,6 @@ class Grid1D:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", x)
 
-    @property
-    def interior(self) -> slice:
-        """Slice selecting the interior points (everything but the ends)."""
-        return slice(1, self.n_points - 1)
-
 
 def check_run_arguments(dt: float, n_steps: int, store_every: int = 1) -> None:
     """The argument check every time-stepping runner shares: dt finite

@@ -34,12 +34,11 @@ Scalar = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-dt samples of one orbit (or a batch: trailing sample axis).
+    """Uniform-dt samples of one orbit.
 
-    positions/momenta/actions have shape (n_steps+1,) for a scalar launch
-    or (n_steps+1, n_samples) for an array launch. actions[0] = 0 and
-    actions[k] is the running integral of the Lagrangian p^2/2m - V by
-    the trapezoidal rule on the sample points.
+    positions/momenta/actions have shape (n_steps+1,).  actions[0] = 0
+    and actions[k] is the running integral of the Lagrangian p^2/2m - V
+    by the trapezoidal rule on the sample points.
     """
 
     times: np.ndarray
@@ -90,9 +89,11 @@ def verlet_step(
 ) -> tuple[Scalar, Scalar, Scalar]:
     """One velocity-Verlet update; returns (x, p, force at new x).
 
-    The kernel of integrate_hamilton, for one orbit or a batch.  The
-    streaming ensemble runner repeats these operations in place, in the
-    same order, and the tests compare it against this kernel bit for bit.
+    The only position/momentum update in qclab: integrate_hamilton and
+    the characteristics sweep step with it through _verlet_with_action,
+    and run_classical_ensemble steps its batch of orbits with it
+    directly.  Arrays advance element-wise; the tests hold each ensemble
+    orbit to integrate_hamilton's scalar orbit bit for bit.
     """
     m = constants.mass
     p_half = p + 0.5 * dt * force
@@ -131,26 +132,18 @@ def _verlet_with_action(
 
 def integrate_hamilton(
     potential: Potential,
-    x0: Scalar,
-    p0: Scalar,
+    x0: float,
+    p0: float,
     dt: float,
     n_steps: int,
     constants: PhysicalConstants = PhysicalConstants(),
 ) -> Trajectory:
-    """Velocity-Verlet orbit(s) with running action.
-
-    x0/p0 may be floats (one orbit) or equal-shape arrays (a batch
-    advanced in lockstep).
-    """
+    """One velocity-Verlet orbit from (x0, p0), with running action."""
     check_run_arguments(dt, n_steps)
-    batch = isinstance(x0, np.ndarray)
-    x = np.array(x0, dtype=float, copy=True) if batch else float(x0)
-    p = np.array(p0, dtype=float, copy=True) if batch else float(p0)
-    shape = (n_steps + 1,) + (x.shape if batch else ())
-    positions = np.empty(shape)
-    momenta = np.empty(shape)
-    actions = np.empty(shape)
-    steps = _verlet_with_action(potential, x, p, dt, n_steps, constants)
+    positions = np.empty(n_steps + 1)
+    momenta = np.empty(n_steps + 1)
+    actions = np.empty(n_steps + 1)
+    steps = _verlet_with_action(potential, float(x0), float(p0), dt, n_steps, constants)
     for k, (x, p, action) in enumerate(steps):
         positions[k], momenta[k], actions[k] = x, p, action
     times = dt * np.arange(n_steps + 1)

@@ -26,8 +26,15 @@ def gradient(f: np.ndarray, dx: float) -> np.ndarray:
 
 
 def second_derivative(f: np.ndarray, dx: float) -> np.ndarray:
-    """Second derivative: central 3-point inside, 4-point one-sided at ends."""
+    """Second derivative: central 3-point inside, 4-point one-sided at ends.
+
+    The one-sided end formula reads four points, so f needs at least 4.
+    """
     f = np.asarray(f, dtype=float)
+    if f.shape[0] < 4:
+        raise ValueError(
+            f"the second-derivative stencil needs at least 4 points, got {f.shape[0]}"
+        )
     out = np.empty_like(f)
     dx2 = dx * dx
     out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2

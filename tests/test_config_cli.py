@@ -319,6 +319,17 @@ def test_madelung_odd_harmonic_state_is_a_vacuous_relation(tmp_path, n):
     assert summary["amplitude_relation"] == {"vacuous": True, "deviation": None}
 
 
+def test_madelung_on_a_three_point_grid_exits_2_with_one_line(tmp_path, capsys):
+    # Grid1D allows 3 points; the second derivative's end formula reads 4
+    cfg = _write(tmp_path, "grid.n_points = 3\ngrid.x_min = -1\ngrid.x_max = 1\n")
+    out = tmp_path / "out"
+    assert main(["madelung", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "qclab: the second-derivative stencil needs at least 4 points, got 3"
+    ]
+    assert list(out.iterdir()) == []
+
+
 def test_evolve_writes_slices_and_observables(tmp_path):
     cfg = _write(
         tmp_path,
@@ -636,6 +647,26 @@ def test_ensemble_histograms_carry_the_float_edge_text(tmp_path):
         ref = tmp_path / "ref.csv"
         _write_columns(ref, ["bin_left", "bin_right", "count"], edges[:-1], edges[1:], counts)
         assert path.read_bytes() == ref.read_bytes()
+
+
+def test_ensemble_refuses_a_draw_below_the_barrier_at_launch(tmp_path, capsys):
+    # every sample launches at x = 0, the top of a unit barrier, and the
+    # lowest levels of the 24-wide box lie below it
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC.replace("harmonic", "smooth_barrier")
+        + "ensemble.k = 2\nensemble.n_samples = 100\nensemble.n_steps = 10\n",
+    )
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(
+        r"qclab: sample \d+: drawn energy \S+ lies below the potential 1\.0 "
+        r"at its launch point",
+        err[0],
+    )
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("dt", ["nan", "inf"])

@@ -20,6 +20,7 @@ from qclab.grids import PhysicalConstants
 from qclab.hamilton_jacobi import (
     PrincipalFunctionField,
     Trajectory,
+    _verlet_with_action,
 )
 from qclab.stencils import gradient
 
@@ -64,28 +65,6 @@ def test_free_action_matches_closed_form(constants):
     traj = integrate_hamilton(FreePotential(), 0.0, p0, dt, n, constants)
     expected = (p0**2 / 2.0) * traj.times
     assert np.max(np.abs(traj.actions - expected)) < 1e-10
-
-
-def test_batch_matches_scalar_orbits_exactly(constants):
-    pot = HarmonicPotential(1.0)
-    x0 = np.array([-1.0, 0.3, 2.0])
-    p0 = np.array([0.5, -0.2, 0.0])
-    batch = integrate_hamilton(pot, x0, p0, 1e-2, 40, constants)
-    for j in range(3):
-        single = integrate_hamilton(
-            pot, float(x0[j]), float(p0[j]), 1e-2, 40, constants
-        )
-        assert np.array_equal(batch.positions[:, j], single.positions)
-        assert np.array_equal(batch.momenta[:, j], single.momenta)
-        assert np.array_equal(batch.actions[:, j], single.actions)
-
-
-def test_integrate_hamilton_validates_arguments(constants):
-    for dt in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="dt"):
-            integrate_hamilton(FreePotential(), 0.0, 1.0, dt, 5, constants)
-    with pytest.raises(ValueError, match="n_steps"):
-        integrate_hamilton(FreePotential(), 0.0, 1.0, 0.1, 0, constants)
 
 
 def test_free_principal_function_closed_form(constants):
@@ -142,25 +121,24 @@ def test_rest_release_caustic_is_detected_on_time(constants):
 
 
 def _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants):
-    """The sweep done the long way: store every characteristic with
-    integrate_hamilton, then re-interpolate each slice."""
-    traj = integrate_hamilton(
+    """The sweep done the long way: store every characteristic's whole
+    orbit and action, then re-interpolate each slice."""
+    orbits = list(_verlet_with_action(
         potential, grid.x.copy(), gradient(s0, grid.dx), dt, n_steps, constants
-    )
-    s = np.full(traj.positions.shape, np.nan)
-    mask = np.zeros(traj.positions.shape, dtype=bool)
+    ))
+    s = np.full((n_steps + 1, grid.n_points), np.nan)
+    mask = np.zeros(s.shape, dtype=bool)
     s[0], mask[0] = s0, True
     crossed = False
-    for k in range(1, traj.times.size):
-        pos = traj.positions[k]
+    for k, (pos, _, action) in enumerate(orbits[1:], start=1):
         crossed = crossed or bool(np.any(np.diff(pos) <= 0.0))
         if crossed:
             continue
-        s[k] = np.interp(grid.x, pos, s0 + traj.actions[k], left=np.nan, right=np.nan)
+        s[k] = np.interp(grid.x, pos, s0 + action, left=np.nan, right=np.nan)
         inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
         s[k, ~inside] = np.nan
         mask[k] = inside
-    return s, mask, traj.times
+    return s, mask, dt * np.arange(n_steps + 1)
 
 
 @pytest.mark.parametrize(
@@ -246,14 +224,6 @@ def test_an_empty_fan_before_the_crossing_is_the_first_masked_step(constants):
     strided = principal_function_from_characteristics(*args, store_every=100)
     assert strided.first_masked_step == first
     assert np.array_equal(strided.validity_mask, full.validity_mask[::100])
-
-
-def test_the_sweep_rejects_a_zero_stride(constants):
-    grid = build_grid(-1.0, 1.0, 11)
-    with pytest.raises(ValueError, match="store_every"):
-        principal_function_from_characteristics(
-            FreePotential(), np.zeros(11), grid, 0.1, 3, constants, store_every=0
-        )
 
 
 def test_sweep_memory_is_its_output_not_the_orbits(constants):
