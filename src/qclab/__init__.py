@@ -26,14 +26,11 @@ from .hamilton_jacobi import (
     PrincipalFunctionField,
     Trajectory,
     free_principal_function,
-    hj_residual,
     integrate_hamilton,
     principal_function_from_characteristics,
     verlet_step,
 )
 from .madelung import (
-    AmplitudeRelationResult,
-    PolarField,
     decompose,
     madelung_residuals,
     phase_jump_guard,

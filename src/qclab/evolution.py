@@ -4,9 +4,9 @@ With A = i dt/(2 hbar) H, H being the tridiagonal matrix the eigensolver
 uses, one step is psi^{k+1} = (I + A)^{-1} (I - A) psi^k.  Hard walls
 (Dirichlet) enter as identity rows at both grid ends, decoupled from the
 interior, so the walls hold zero.  I + A is factorized once per run by
-LAPACK zgttrf, and each step is one zgttrs solve and one vector update in
-Cayley form, psi <- 2 (I + A)^{-1} psi - psi, which equals the step
-above in exact arithmetic since I - A = 2I - (I + A).
+LAPACK zgttrf (from `qclab.lapack`), and each step is one zgttrs solve
+and one vector update in Cayley form, psi <- 2 (I + A)^{-1} psi - psi,
+which equals the step above in exact arithmetic since I - A = 2I - (I + A).
 
 I + A is normal with eigenvalues 1 + i dt lambda/(2 hbar), all of modulus
 at least 1, so it is never singular and the step is exactly unitary in
@@ -69,8 +69,8 @@ def evolve(
     grid = psi0.grid
     if potential_values.shape != (grid.n_points,):
         raise ValueError("potential_values must live on the state's grid")
-    # deferred: loading scipy.linalg takes ~0.3 s that scipy-free CLI runs skip
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    # loaded on the first solve, so runs that never solve load no scipy
+    from .lapack import zgttrf, zgttrs
 
     hamiltonian = hamiltonian_from_values(potential_values, grid, constants)
     alpha = 1j * dt / (2.0 * constants.hbar)

@@ -213,28 +213,3 @@ def principal_function_from_characteristics(
             mask[k // store_every] = inside
     times = dt * (store_every * np.arange(n_slices))
     return PrincipalFunctionField(s, mask, times, grid, first_masked)
-
-
-def hj_residual(
-    field: PrincipalFunctionField,
-    potential_values: np.ndarray,
-    constants: PhysicalConstants = PhysicalConstants(),
-) -> np.ndarray:
-    """Central-difference residual of (grad S)^2/2m + V + dS/dt.
-
-    Shape (n_slices - 2, n_points); row k corresponds to slice k+1.
-    NaN wherever the space or time stencil touches a masked point.
-    """
-    if field.s.shape[0] < 3:
-        raise ValueError("need at least 3 time slices for central differences")
-    dts = np.diff(field.times)
-    dt = float(dts[0])
-    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("time slices must be uniformly spaced and increasing")
-    m = constants.mass
-    rows = []
-    for k in range(1, field.s.shape[0] - 1):
-        grad_s = gradient(field.s[k], field.grid.dx)
-        ds_dt = (field.s[k + 1] - field.s[k - 1]) / (2.0 * dt)
-        rows.append(grad_s**2 / (2.0 * m) + potential_values + ds_dt)
-    return np.stack(rows)

@@ -723,8 +723,8 @@ def run_verify_all(
             "tolerances": {k: ctx.tolerances[k] for k in sorted(ctx.tolerances)},
         },
     )
-    # the eigensolve imports scipy.linalg on first use; that import must
-    # finish on this thread before any worker can race it
+    # the ground evolution starts from these pairs, and the eigensolve
+    # loads the LAPACK bindings, so workers start with both in place
     ctx.harmonic_pairs
     pool = ThreadPoolExecutor(max_workers=2)
     try:

@@ -14,7 +14,7 @@ import qclab.spectral
 from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
 from qclab.cli import _write_columns, main
 from qclab.config import _SCHEMA, RunConfig
-from qclab.grids import build_grid
+from qclab.grids import PhysicalConstants, build_grid
 from qclab.potentials import (
     FreePotential,
     HarmonicPotential,
@@ -228,6 +228,51 @@ def test_eigen_rejects_nonpositive_k(tmp_path, capsys):
     status = main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert status == 2
     assert "eigen.k" in capsys.readouterr().err
+
+
+def _scaled_level_errors(tmp_path) -> np.ndarray:
+    """|E_n/(hbar omega) - (n + 1/2 - defect_n)| from `qclab eigen` at
+    non-unit constants, less the allowed margin; positive means too far.
+
+    The box is [-12 L, 12 L] with L = sqrt(hbar/(m omega)), so dx/L = 0.04
+    whatever the constants.  The 3-point stencil's level defect is
+    (dx/L)^2 (2n^2 + 2n + 1)/32 in units of hbar omega, and the margin is
+    twice the next term, (dx/L)^4 ((n+1)^3 + n^3)/512, which the levels
+    follow to four digits at dx/L = 0.01 .. 0.04.
+    """
+    hbar, mass, omega = 0.37, 2.9, 1.7
+    length = math.sqrt(hbar / (mass * omega))
+    cfg = _write(
+        tmp_path,
+        f"constants.hbar = {hbar}\nconstants.mass = {mass}\n"
+        f"grid.x_min = {-12.0 * length!r}\ngrid.x_max = {12.0 * length!r}\n"
+        f"grid.n_points = 601\npotential.kind = harmonic\n"
+        f"potential.omega = {omega}\neigen.k = 8\n",
+    )
+    out = tmp_path / "out"
+    assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 0
+    levels = np.array(json.loads((out / "eigenvalues.json").read_text()))
+    n = np.arange(8)
+    h = 0.04
+    defect = h**2 * (2 * n**2 + 2 * n + 1) / 32
+    margin = 2.0 * h**4 * ((n + 1) ** 3 + n**3) / 512
+    return np.abs(levels / (hbar * omega) - (n + 0.5 - defect)) - margin
+
+
+def test_eigen_levels_scale_with_hbar_omega(tmp_path):
+    assert np.all(_scaled_level_errors(tmp_path) <= 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:eigenstate")  # the wrong levels reach the walls
+def test_eigen_scaling_catches_a_dropped_hbar(tmp_path, monkeypatch):
+    # planted defect: the kinetic term built as if hbar were 1
+    real = qclab.spectral.hamiltonian_from_values
+
+    def hbar_dropped(values, grid, constants):
+        return real(values, grid, PhysicalConstants(1.0, constants.mass))
+
+    monkeypatch.setattr(qclab.spectral, "hamiltonian_from_values", hbar_dropped)
+    assert np.all(_scaled_level_errors(tmp_path) > 0.0)
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -75,7 +75,7 @@ def _probe(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.linalg is imported by the functions that call LAPACK, on first
+    # qclab.lapack is imported by the functions that call LAPACK, on first
     # use, and concurrent.futures by verify-all's thread pool
     code = "import qclab.cli; print('concurrent.futures' in sys.modules, end=' ')"
     assert _probe(code) == "False False"
@@ -89,6 +89,53 @@ def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
     code = f"from qclab.cli import main; print(main({argv!r}), end=' ')"
     assert _probe(code) == "0 False"
+
+
+# whether the bindings and the scipy.linalg package are loaded
+_LOADED = "print('qclab.lapack' in sys.modules, 'scipy.linalg' in sys.modules, end=' ')"
+
+
+@pytest.mark.parametrize(
+    "name, subcommand",
+    [
+        ("harmonic-eigen", "eigen"),
+        ("gaussian-evolve", "evolve"),
+        ("superpose", "superpose"),
+        ("ensemble", "ensemble"),
+    ],
+)
+def test_solving_configs_load_lapack_but_not_scipy_linalg(tmp_path, name, subcommand):
+    argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
+    code = f"from qclab.cli import main; print(main({argv!r}), end=' '); {_LOADED}"
+    assert _probe(code) == "0 True False True"
+
+
+def test_verify_all_loads_lapack_but_not_scipy_linalg():
+    code = f"from qclab.verification import run_verify_all; run_verify_all(); {_LOADED}"
+    assert _probe(code) == "True False True"
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "qclab.lapack"])
+def test_scipy_linalg_and_the_bindings_solve_alike_in_either_load_order(first):
+    code = f"""import importlib; importlib.import_module({first!r})
+import numpy as np
+import scipy.linalg.lapack as scipy_lapack
+import qclab.lapack
+rng = np.random.default_rng(5)
+dl, d, du, b = (rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (40, 41, 40, 41))
+d += 4.0
+x, y = (m.zgttrs(*m.zgttrf(dl, d, du)[:-1], b)[0] for m in (scipy_lapack, qclab.lapack))
+print(x.tobytes() == y.tobytes(), end=' ')"""
+    assert _probe(code) == "True True"
+
+
+def test_missing_bindings_raise_import_error_naming_the_directory(tmp_path):
+    code = f"""import scipy; scipy.__path__ = [{str(tmp_path)!r}]
+try:
+    import qclab.lapack
+except ImportError as exc:
+    print(str(exc).endswith({str(tmp_path / 'linalg')!r}), end=' ')"""
+    assert _probe(code) == "True True"
 
 
 def test_eigenstate_rotates_at_the_cayley_angle(harmonic_setup, constants):

@@ -12,13 +12,11 @@ from qclab import (
     HarmonicPotential,
     build_grid,
     free_principal_function,
-    hj_residual,
     integrate_hamilton,
     principal_function_from_characteristics,
 )
 from qclab.grids import PhysicalConstants
 from qclab.hamilton_jacobi import (
-    PrincipalFunctionField,
     Trajectory,
     _verlet_with_action,
 )
@@ -239,49 +237,6 @@ def test_sweep_memory_is_its_output_not_the_orbits(constants):
     finally:
         tracemalloc.stop()
     assert peak < 2 * (field.s.nbytes + field.validity_mask.nbytes)
-
-
-def test_hj_residual_vanishes_on_the_exact_free_field(constants):
-    grid = build_grid(-10.0, 10.0, 801)
-    times = 0.01 * np.arange(5)
-    s_fn = free_principal_function(2.0, constants)
-    s = np.stack([np.asarray(s_fn(grid.x, t)) for t in times])
-    field = PrincipalFunctionField(
-        s, np.ones_like(s, dtype=bool), times, grid
-    )
-    r = hj_residual(field, np.zeros(grid.n_points), constants)
-    # S is linear in x and t, so central differences are exact
-    assert np.max(np.abs(r[:, 1:-1])) < 1e-12
-
-
-def test_hj_residual_flags_the_quantum_gap(constants):
-    # feed the *quantum* phase of a gaussian packet: the defect is -v_q
-    grid = build_grid(-10.0, 10.0, 801)
-    times = 0.01 * np.arange(3)
-    # stationary gaussian modulus with zero phase: Phi = 0 identically,
-    # so the residual reduces to V alone
-    s = np.zeros((3, grid.n_points))
-    field = PrincipalFunctionField(s, np.ones_like(s, dtype=bool), times, grid)
-    v = HarmonicPotential(1.0).on_grid(grid, constants)
-    r = hj_residual(field, v, constants)
-    assert np.allclose(r[0], v)
-
-
-def test_hj_residual_validates_slice_geometry(constants):
-    grid = build_grid(-1.0, 1.0, 11)
-    s = np.zeros((2, 11))
-    field = PrincipalFunctionField(
-        s, np.ones_like(s, dtype=bool), np.array([0.0, 0.1]), grid
-    )
-    with pytest.raises(ValueError, match="3 time slices"):
-        hj_residual(field, np.zeros(11), constants)
-    s3 = np.zeros((3, 11))
-    bad_times = np.array([0.0, 0.1, 0.3])
-    field3 = PrincipalFunctionField(
-        s3, np.ones_like(s3, dtype=bool), bad_times, grid
-    )
-    with pytest.raises(ValueError, match="uniform"):
-        hj_residual(field3, np.zeros(11), constants)
 
 
 def test_characteristics_validate_s0_shape(constants):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 
 from qclab import (
     EigensolverError,
@@ -116,13 +115,38 @@ def test_eigenvalues_ascend_through_degenerate_doublets():
 
 
 def test_lapack_failure_raises_eigensolver_error(monkeypatch):
-    def fail(*args, **kwargs):
-        raise LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
+    import qclab.lapack
 
-    # the solver imports eigh_tridiagonal from scipy.linalg on each call
-    monkeypatch.setattr("scipy.linalg.eigh_tridiagonal", fail)
+    real_dstein = qclab.lapack.dstein
+
+    def failing_dstein(*args):
+        vectors, _ = real_dstein(*args)
+        return vectors, 1
+
+    # the solver imports dstein from qclab.lapack on each call
+    monkeypatch.setattr(qclab.lapack, "dstein", failing_dstein)
     with pytest.raises(EigensolverError, match="1 eigenvectors failed"):
         lowest_eigenpairs(np.arange(5.0), 1.0, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected_before_lapack(bad):
+    # dstebz itself would return no eigenvalues and info 4, not an error
+    diag = np.arange(5.0)
+    diag[2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lowest_eigenpairs(diag, 1.0, 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lowest_eigenpairs(np.arange(5.0), bad, 2)
+
+
+def test_single_interior_point_is_its_own_eigenpair(constants):
+    # the LAPACK wrappers reject the empty off-diagonal of a 1x1 matrix
+    grid = build_grid(-1.0, 1.0, 3)
+    h = assemble_hamiltonian(HarmonicPotential(1.0), grid, constants)
+    (pair,) = solve_lowest_eigenpairs(h, 1)
+    assert pair.energy == h.diagonal[1] == 1.0
+    assert np.array_equal(pair.state.values, [0.0, 1.0, 0.0])
 
 
 def test_requesting_too_many_pairs_fails_loudly():

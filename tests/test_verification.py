@@ -125,8 +125,9 @@ def test_threaded_run_evolves_each_state_once(threaded_run):
 
 
 def test_pool_has_two_workers_and_starts_after_scipy_loads():
-    # a fresh interpreter, so scipy.linalg is not loaded by earlier tests;
-    # the first submit records the pool size and stops the run
+    # a fresh interpreter, so no scipy is loaded by earlier tests; the
+    # first submit records the pool size and what is loaded (the LAPACK
+    # bindings import scipy, but not scipy.linalg), then stops the run
     src = Path(qclab.__file__).resolve().parent.parent
     code = f"""
 import sys
@@ -134,15 +135,18 @@ sys.path.insert(0, {str(src)!r})
 from concurrent.futures import ThreadPoolExecutor
 from qclab.verification import run_verify_all
 
+def loaded():
+    return "qclab.lapack" in sys.modules, "scipy.linalg" in sys.modules
+
 class Stop(Exception):
     pass
 
 def submit(self, fn, *args, **kwargs):
-    print(self._max_workers, "scipy.linalg" in sys.modules)
+    print(self._max_workers, *loaded())
     raise Stop
 
 ThreadPoolExecutor.submit = submit
-print("scipy.linalg" in sys.modules)
+print(*loaded())
 try:
     run_verify_all()
 except Stop:
@@ -151,7 +155,7 @@ except Stop:
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["False", "2 True"]
+    assert out.splitlines() == ["False False", "2 True False"]
 
 
 def test_worker_error_exits_2_with_one_line_and_no_thread_left(
