@@ -12,6 +12,11 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error.  Identical config and seed give byte-identical reports up
 to the `generated_at` timestamp and the `timing` block.
 
+A CSV artifact has a header row, comma-separated cells and CRLF line
+ends.  Floats are written in Python's shortest round-trip repr, booleans
+as 0/1; masked or non-finite cells read nan.  Identical config and seed
+give byte-identical CSV files.
+
 Subcommands:
   eigen       lowest-k spectrum: eigenvalues.json, eigenfunctions.csv
   evolve      Crank-Nicolson run: slice_*.csv, observables.csv
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import sys
 from pathlib import Path
@@ -79,20 +83,43 @@ from .verification import (
 )
 
 
-def _write_columns(path: Path, header: list[str], *columns) -> None:
-    """CSV with one array per column: floats as repr, ints and bools as int.
+def _cells(column) -> list[str]:
+    """One column's cell text: floats as repr, ints and bools as int.
 
-    Callers that must show masked or non-finite entries as nan replace
-    them with np.nan first.
+    Each distinct value is formatted once and its text scattered back.
+    Floats are told apart by their float64 bit pattern, because np.unique
+    on values merges -0.0 with 0.0.  A string column, such as the output
+    of an earlier call shared by many files, passes through unchanged.
     """
-    cells = [
-        (c.astype(int) if c.dtype == bool else c).tolist()
-        for c in map(np.asarray, columns)
-    ]
+    a = np.asarray(column)
+    if a.dtype.kind == "U":
+        return a.tolist()
+    if a.dtype.kind == "f":
+        bits, inverse = np.unique(
+            a.astype(np.float64, copy=False).view(np.int64), return_inverse=True
+        )
+        text = list(map(repr, bits.view(np.float64).tolist()))
+    else:
+        ints = a.astype(int) if a.dtype == bool else a
+        values, inverse = np.unique(ints, return_inverse=True)
+        text = list(map(str, values.tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _write_columns(path: Path, header: list[str], *columns) -> None:
+    """CSV with one array per column, cells as _cells formats them.
+
+    The text matches csv.writer's default dialect byte for byte: CRLF
+    line ends, floats via repr, and no quoting, since no cell holds a
+    comma, a double quote, CR or LF.  The whole text is built before the
+    file is opened, so columns of unequal length raise ValueError and
+    leave no file.  Callers that must show masked or non-finite entries
+    as nan replace them with np.nan first.
+    """
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
+    text = "\r\n".join([",".join(header), *rows, ""])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells, strict=True))
+        fh.write(text)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -123,9 +150,13 @@ def _load_wavefunction_csv(path: Path, grid: Grid1D) -> WaveFunction:
     return WaveFunction(data["re"] + 1j * data["im"], grid)
 
 
-def _write_wavefunction_csv(path: Path, psi: WaveFunction) -> None:
-    """(x, re, im) rows, the format _load_wavefunction_csv reads."""
-    _write_columns(path, ["x", "re", "im"], psi.grid.x, psi.values.real, psi.values.imag)
+def _write_wavefunction_csv(path: Path, psi: WaveFunction, x=None) -> None:
+    """(x, re, im) rows, the format _load_wavefunction_csv reads.
+
+    x defaults to the grid; many files of one grid pass its _cells text.
+    """
+    x = psi.grid.x if x is None else x
+    _write_columns(path, ["x", "re", "im"], x, psi.values.real, psi.values.imag)
 
 
 # what a subcommand returns: the report metadata and its checks
@@ -206,8 +237,9 @@ def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     store_every = config.get("evolve.store_every")
     result = evolve(psi0, v, dt, n_steps, constants, store_every=store_every)
 
+    x = np.array(_cells(grid.x))
     for k, w in enumerate(result.slices):
-        _write_wavefunction_csv(out / f"slice_{k:04d}.csv", w)
+        _write_wavefunction_csv(out / f"slice_{k:04d}.csv", w, x)
     _write_columns(
         out / "observables.csv",
         ["t", "norm", "position", "momentum", "energy"],
@@ -379,12 +411,13 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     field = principal_function_from_characteristics(
         potential, s0, grid, dt, n_steps, constants, store_every=every
     )
+    x = np.array(_cells(grid.x))
     for k in range(0, n_steps + 1, stride):
         valid = field.validity_mask[k // every]
         _write_columns(
             out / f"s_field_{k:04d}.csv",
             ["x", "s", "valid"],
-            grid.x,
+            x,
             np.where(valid, field.s[k // every], np.nan),
             valid,
         )
@@ -497,9 +530,7 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
         spec, config.potential, grid, dt, n_steps, constants, store_every=store_every
     )
 
-    # every slice shares the bin edges: format their text once, as
-    # _write_columns would, and pass the strings to each write
-    edges = np.array([repr(e) for e in result.bin_edges.tolist()])
+    edges = np.array(_cells(result.bin_edges))
     for idx in range(result.histogram_times.size):
         _write_columns(
             out / f"histogram_t{idx:04d}.csv",

@@ -1,12 +1,14 @@
 """Config parsing and the CLI subcommands, driven in-process through main()."""
+import csv
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qclab.cli
@@ -690,7 +692,9 @@ def test_ensemble_histograms_carry_the_float_edge_text(tmp_path):
     for path in files:
         counts = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2, dtype=int)
         ref = tmp_path / "ref.csv"
-        _write_columns(ref, ["bin_left", "bin_right", "count"], edges[:-1], edges[1:], counts)
+        _csv_writer_columns(
+            ref, ["bin_left", "bin_right", "count"], edges[:-1], edges[1:], counts
+        )
         assert path.read_bytes() == ref.read_bytes()
 
 
@@ -905,3 +909,122 @@ def test_wavefunction_csv_rejects_non_finite_cells(tmp_path, capsys, cell):
     assert len(err) == 1
     assert err[0].startswith("qclab: config error: ")
     assert err[0].endswith(f"non-finite re/im value at x = {x[50]!r}")
+
+
+# --- CSV artifacts ----------------------------------------------------------
+
+
+def _csv_writer_columns(path: Path, header: list[str], *columns) -> None:
+    """The reference _write_columns must match byte for byte: csv.writer's
+    default dialect over each column's tolist(), bools as ints."""
+    cells = [
+        (c.astype(int) if c.dtype == bool else c).tolist()
+        for c in map(np.asarray, columns)
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells, strict=True))
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e16, 1e-5, 0.1,
+]
+# printable ASCII without the two characters csv.writer would quote
+_CELL_TEXT = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"'),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def _csv_columns(draw) -> list[np.ndarray]:
+    n = draw(st.integers(0, 24))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("fibs"), min_size=1, max_size=4)):
+        if kind == "f":
+            # the edge values repeat within a column
+            cell, dtype = st.sampled_from(_EDGE_FLOATS) | st.floats(), np.float64
+        elif kind == "i":
+            cell, dtype = st.integers(-(2**63), 2**63 - 1), np.int64
+        elif kind == "b":
+            cell, dtype = st.booleans(), bool
+        else:
+            cell, dtype = _CELL_TEXT, str
+        columns.append(np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=dtype))
+    return columns
+
+
+@settings(deadline=None, max_examples=200)
+@example(columns=[np.array([], dtype=np.float64), np.array([], dtype=bool)])
+@given(columns=_csv_columns())
+def test_write_columns_matches_csv_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = Path(tmp) / "out.csv", Path(tmp) / "ref.csv"
+        _write_columns(path, header, *columns)
+        _csv_writer_columns(ref, header, *columns)
+        assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_columns_keeps_the_sign_of_zero(tmp_path):
+    path = tmp_path / "zeros.csv"
+    _write_columns(path, ["v"], np.array([0.0, -0.0, 0.0]))
+    assert path.read_bytes() == b"v\r\n0.0\r\n-0.0\r\n0.0\r\n"
+
+
+def test_write_columns_of_unequal_length_leave_no_file(tmp_path):
+    path = tmp_path / "short.csv"
+    with pytest.raises(ValueError):
+        _write_columns(path, ["a", "b"], np.arange(3.0), np.arange(2.0))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, lines",
+    [
+        ("eigen", "eigen.k = 4\n"),
+        (
+            "evolve",
+            "evolve.center = 1.0\nevolve.momentum = 0.5\n"
+            "evolve.n_steps = 40\nevolve.store_every = 20\n",
+        ),
+        ("madelung", "madelung.state = harmonic\nmadelung.n = 2\n"),
+        (
+            "hj",
+            "hj.x0 = 2.0\nhj.p0 = 0.0\nhj.dt = 5e-3\nhj.n_steps = 600\n"
+            "hj.s0 = zero\nhj.store_every = 80\n",
+        ),
+        ("superpose", "superpose.coefficients = 0.6, 0.8j\n"),
+        (
+            "ensemble",
+            "ensemble.k = 2\nensemble.n_samples = 500\n"
+            "ensemble.n_steps = 100\nensemble.store_every = 50\n",
+        ),
+    ],
+)
+def test_subcommand_artifacts_match_the_csv_writer(
+    tmp_path, capsys, monkeypatch, subcommand, lines
+):
+    cfg = _write(tmp_path, SMALL_HARMONIC + lines)
+    status = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "new")])
+    stdout = capsys.readouterr().out
+    # with _cells a pass-through, shared columns reach the reference as floats
+    monkeypatch.setattr(qclab.cli, "_cells", np.asarray)
+    monkeypatch.setattr(qclab.cli, "_write_columns", _csv_writer_columns)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "ref")]) == status
+    assert capsys.readouterr().out == stdout
+
+    new = sorted(p.name for p in (tmp_path / "new").iterdir())
+    assert new == sorted(p.name for p in (tmp_path / "ref").iterdir())
+    assert any(name.endswith(".csv") for name in new)
+    for name in new:
+        a, b = (tmp_path / side / name for side in ("new", "ref"))
+        if name == "report.json":
+            reports = [json.loads(p.read_text()) for p in (a, b)]
+            for report in reports:
+                del report["generated_at"], report["timing"]
+            assert reports[0] == reports[1]
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
