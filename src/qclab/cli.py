@@ -83,6 +83,9 @@ from .verification import (
 )
 
 
+_CHUNK_ROWS = 4096  # rows formatted and written at a time
+
+
 def _cells(column) -> list[str]:
     """One column's cell text: floats as repr, ints and bools as int.
 
@@ -111,15 +114,22 @@ def _write_columns(path: Path, header: list[str], *columns) -> None:
 
     The text matches csv.writer's default dialect byte for byte: CRLF
     line ends, floats via repr, and no quoting, since no cell holds a
-    comma, a double quote, CR or LF.  The whole text is built before the
-    file is opened, so columns of unequal length raise ValueError and
-    leave no file.  Callers that must show masked or non-finite entries
-    as nan replace them with np.nan first.
+    comma, a double quote, CR or LF.  Column lengths are checked before
+    the file is opened, so columns of unequal length raise ValueError and
+    leave no file.  Rows are formatted and written _CHUNK_ROWS at a time,
+    so the text of at most one chunk is held.  Callers that must show
+    masked or non-finite entries as nan replace them with np.nan first.
     """
-    rows = map(",".join, zip(*map(_cells, columns), strict=True))
-    text = "\r\n".join([",".join(header), *rows, ""])
+    columns = [np.asarray(column) for column in columns]
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"{path.name}: columns differ in length {lengths}")
+    n_rows = lengths[0] if lengths else 0
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_cells(column[start : start + _CHUNK_ROWS]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _write_json(path: Path, payload) -> None:

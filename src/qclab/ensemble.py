@@ -135,16 +135,16 @@ class EnsembleSpec:
         object.__setattr__(self, "probabilities", p)
 
 
-def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> np.ndarray:
-    idx = rng.choice(spec.energies.size, size=spec.n_samples, p=spec.probabilities)
-    return spec.energies[idx]
+def _draw_levels(rng: np.random.Generator, spec: EnsembleSpec) -> np.ndarray:
+    """The drawn level index of every sample."""
+    return rng.choice(spec.energies.size, size=spec.n_samples, p=spec.probabilities)
 
 
 def draw_sample_energies(spec: EnsembleSpec) -> np.ndarray:
     """The energies a run with this spec draws (same stream position as
     run_classical_ensemble's first draw)."""
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
-    return _draw(rng, spec)
+    return spec.energies[_draw_levels(rng, spec)]
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,12 @@ def run_classical_ensemble(
     is an error.
 
     Verlet is deterministic, so samples that share a launch state share
-    their whole orbit.  The launch momenta are deduplicated by their bit
-    patterns (so -0.0 and +0.0 stay apart), and each distinct launch is
-    integrated once: a k-level spec has at most 2k orbits however many
-    samples it draws.  Histograms weight each orbit by its sample count,
-    and the drift column is scattered back, so every output equals that
-    of integrating all n_samples rows.
+    their whole orbit.  A launch is a (drawn level, sign) pair: launches
+    are counted with np.bincount and each one drawn is integrated once,
+    so a k-level spec has at most 2k orbits however many samples it
+    draws.  Histograms weight each orbit by its sample count, and the
+    drift column is scattered back, so every output equals that of
+    integrating all n_samples rows.
 
     The orbits advance in lockstep through hamilton_jacobi.verlet_step
     without storing trajectories: histograms and energy drift are
@@ -195,24 +195,28 @@ def run_classical_ensemble(
     """
     check_run_arguments(dt, n_steps, store_every)
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
-    n = spec.n_samples
-    energies = _draw(rng, spec)
-    x0 = np.zeros(n)
-    v0 = potential.energy(x0, constants)
-    kinetic = energies - v0
-    if np.any(kinetic < 0.0):
-        bad = int(np.argmin(kinetic))
+    n_levels = spec.energies.size
+    launch = _draw_levels(rng, spec)
+    energies = spec.energies[launch]
+    v0 = potential.energy(np.zeros(n_levels), constants)
+    kinetic = spec.energies - v0  # per level
+    if np.any(kinetic[launch] < 0.0):
+        bad = int(np.argmin(kinetic[launch]))
         raise ValueError(
             f"sample {bad}: drawn energy {energies[bad]} lies below the "
-            f"potential {v0[bad]} at its launch point"
+            f"potential {v0[launch[bad]]} at its launch point"
         )
     m = constants.mass
-    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    p0 = signs * np.sqrt(2.0 * m * kinetic)
-    _, first, inverse, counts = np.unique(
-        p0.view(np.uint64), return_index=True, return_inverse=True, return_counts=True
-    )
-    x, p = x0[first], p0[first]
+    # each sample's launch key, 2 * level + (1 if its momentum is
+    # positive), written over its drawn level
+    launch *= 2
+    launch += rng.random(spec.n_samples) >= 0.5
+    counts = np.bincount(launch, minlength=2 * n_levels)
+    keys = np.flatnonzero(counts)
+    counts = counts[keys]
+    signs = np.where(keys % 2 == 1, 1.0, -1.0)
+    p = signs * np.sqrt(2.0 * m * kinetic[keys // 2])
+    x = np.zeros(keys.size)
 
     def hamiltonian(xv: np.ndarray, pv: np.ndarray) -> np.ndarray:
         return pv * pv / (2.0 * m) + potential.energy(xv, constants)
@@ -233,12 +237,14 @@ def run_classical_ensemble(
             hist_times.append(k * dt)
             histograms.append(histogram(x))
 
+    drift_by_key = np.zeros(2 * n_levels)
+    drift_by_key[keys] = drift
     return EnsembleResult(
         histogram_times=np.asarray(hist_times),
         histograms=np.asarray(histograms),
         bin_edges=grid.x.copy(),
         sample_energies=energies,
-        energy_drift=drift[inverse],
+        energy_drift=drift_by_key[launch],
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,9 +41,10 @@ _NORM_TOL = 1e-6
 class EvolutionResult:
     """Stored slices of one evolution (every `store_every`-th step).
 
-    norm_history and energy_history are per stored slice; energy is the
-    Rayleigh quotient <psi, H psi>/<psi, psi>, so it is meaningful for
-    unnormalized inputs too.
+    norm_history and energy_history are per stored slice, retained or
+    not (see evolve's `keep`); energy is the Rayleigh quotient
+    <psi, H psi>/<psi, psi>, so it is meaningful for unnormalized inputs
+    too.
     """
 
     slices: tuple[WaveFunction, ...]
@@ -59,11 +61,18 @@ def evolve(
     n_steps: int,
     constants: PhysicalConstants = PhysicalConstants(),
     store_every: int = 1,
+    keep: Callable[[int, WaveFunction], bool] | None = None,
 ) -> EvolutionResult:
-    """Advance psi0 by n_steps of size dt; keep every store_every-th slice.
+    """Advance psi0 by n_steps of size dt; store every store_every-th slice.
 
     The initial state is always stored (index 0); the final state is
     always stored; n_steps need not be a multiple of store_every.
+
+    keep(index, slice) is called on each stored slice as it is produced,
+    in order; a slice it returns False for is left out of `slices`, so a
+    caller can drop slices it will not read, or reduce each one to what
+    it reads before the next is produced.  Every stored slice still
+    enters norm_history and energy_history.  By default all are kept.
     """
     check_run_arguments(dt, n_steps, store_every)
     grid = psi0.grid
@@ -89,7 +98,7 @@ def evolve(
         den = np.trapezoid(np.abs(values) ** 2, dx=grid.dx)
         return float(num / den)
 
-    slices = [psi0]
+    slices = [psi0] if keep is None or keep(0, psi0) else []
     norms = [psi0.norm]
     energies = [rayleigh(psi0.values)]
 
@@ -109,7 +118,8 @@ def evolve(
                 )
             # v is never written in place, so the slice can share it
             w = WaveFunction(v, grid, psi0.time + k * dt)
-            slices.append(w)
+            if keep is None or keep(len(norms), w):
+                slices.append(w)
             norms.append(w.norm)
             energies.append(rayleigh(v))
     return EvolutionResult(

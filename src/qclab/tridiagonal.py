@@ -55,7 +55,8 @@ def lowest_eigenpairs(
         # dstebz reports NaN or inf only as "no eigenvalues found"
         raise ValueError("tridiagonal matrix must not contain infs or NaNs")
     if n == 1:
-        vectors = np.ones((1, 1))  # the LAPACK wrappers reject an empty e
+        # the LAPACK wrappers reject an empty e
+        vectors, ascending = np.ones((1, 1)), np.zeros(1, dtype=int)
     else:
         # loaded on the first solve, so runs that never solve load no scipy
         from .lapack import dstebz, dstein
@@ -69,13 +70,14 @@ def lowest_eigenpairs(
         w = w[:m]
         vectors, info = dstein(diag, e, w, iblock, isplit)
         _check_info("dstein", info, f"{info} eigenvectors failed to converge")
-        vectors = vectors[:, np.argsort(w)]  # block order to ascending order
+        ascending = np.argsort(w)  # dstein's columns come in block order
     values = np.array(
-        [vectors[:, j] @ _apply(diag, off, vectors[:, j]) for j in range(k)]
+        [vectors[:, j] @ _apply(diag, off, vectors[:, j]) for j in ascending]
     )
-    # a doublet degenerate to roundoff may come back in either order
+    # a doublet degenerate to roundoff may come back in either order; the
+    # columns are gathered once, in the composed order
     order = np.argsort(values, kind="stable")
-    return TridiagonalEigenResult(values[order], vectors[:, order], ())
+    return TridiagonalEigenResult(values[order], vectors[:, ascending[order]], ())
 
 
 def _check_info(routine: str, info: int, failure: str) -> None:

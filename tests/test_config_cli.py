@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import qclab.cli
 import qclab.spectral
 from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
-from qclab.cli import _write_columns, main
+from qclab.cli import _CHUNK_ROWS, _write_columns, main
 from qclab.config import _SCHEMA, RunConfig
 from qclab.grids import PhysicalConstants, build_grid
 from qclab.potentials import (
@@ -956,8 +957,24 @@ def _csv_columns(draw) -> list[np.ndarray]:
     return columns
 
 
+def _chunk_crossing_columns() -> list[np.ndarray]:
+    """2 x chunk + 1 rows, the last alone in the third chunk; repeated
+    floats throughout, and both zeros and nan on either side of a boundary."""
+    n = 2 * _CHUNK_ROWS + 1
+    floats = np.tile([0.1, 1e16, 2.5e-310, -1.5], n // 4 + 1)[:n]
+    floats[_CHUNK_ROWS - 2 : _CHUNK_ROWS + 2] = [0.0, math.nan, -0.0, math.nan]
+    floats[-3:] = [-0.0, math.nan, 0.0]
+    return [
+        floats,
+        np.arange(n, dtype=np.int64) % 7 - 3,
+        np.arange(n) % 3 == 0,
+        np.array([f"r{k % 5}" for k in range(n)]),
+    ]
+
+
 @settings(deadline=None, max_examples=200)
 @example(columns=[np.array([], dtype=np.float64), np.array([], dtype=bool)])
+@example(columns=_chunk_crossing_columns())
 @given(columns=_csv_columns())
 def test_write_columns_matches_csv_writer(columns):
     header = [f"c{i}" for i in range(len(columns))]
@@ -966,6 +983,20 @@ def test_write_columns_matches_csv_writer(columns):
         _write_columns(path, header, *columns)
         _csv_writer_columns(ref, header, *columns)
         assert path.read_bytes() == ref.read_bytes()
+
+
+def test_write_columns_holds_one_chunk_of_text(tmp_path):
+    # 1e5 rows of 1000 distinct floats: the whole file's text and row
+    # strings would take ~4.9 MB, one chunk's take ~0.2 MB
+    column = np.repeat(np.linspace(0.0, 1.0, 1000), 100)
+    tracemalloc.start()
+    try:
+        _write_columns(tmp_path / "long.csv", ["v"], column)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert column.size > 2 * _CHUNK_ROWS
+    assert peak < column.nbytes
 
 
 def test_write_columns_keeps_the_sign_of_zero(tmp_path):

@@ -1,4 +1,6 @@
 """Superposition weights, classical ensembles, and their energy statistics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,42 @@ def test_energy_below_potential_at_launch_is_an_error(constants):
         run_classical_ensemble(
             spec, SmoothBarrierPotential(1.0, 0.5, 0.0), grid, 1e-3, 10, constants
         )
+
+
+def test_the_error_names_the_first_sample_drawn_below_the_potential(constants):
+    # only the first level lies below V(0) = 1.0; the error names the first
+    # sample that drew it
+    spec = EnsembleSpec(np.array([3.0, 0.5]), np.array([0.9, 0.1]), 1000, 4)
+    bad = int(np.argmax(draw_sample_energies(spec) == 0.5))
+    assert bad > 0
+    grid = build_grid(-12.0, 12.0, 241)
+    with pytest.raises(
+        ValueError,
+        match=rf"^sample {bad}: drawn energy 0.5 lies below the potential 1.0 at",
+    ):
+        run_classical_ensemble(
+            spec, SmoothBarrierPotential(1.0, 0.5, 0.0), grid, 1e-3, 10, constants
+        )
+
+
+def test_a_large_ensemble_holds_its_outputs_and_the_draw(constants):
+    n = 100_000
+    spec = EnsembleSpec(np.arange(8) + 0.5, np.full(8, 0.125), n, 3)
+    grid = build_grid(-12.0, 12.0, 241)
+    args = (HarmonicPotential(1.0), grid, 1e-3, 10, constants)
+    # the first run in a process loads part of numpy.random (~0.8 MB)
+    run_classical_ensemble(EnsembleSpec(spec.energies, spec.probabilities, 10, 3), *args)
+    tracemalloc.start()
+    try:
+        result = run_classical_ensemble(spec, *args, store_every=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.sample_energies.size == result.energy_drift.size == n
+    # the two returned n-columns plus the draw: the level index of every
+    # sample and one n-array of uniforms at a time, with the sign test's
+    # booleans, 4.125 x n x 8 B
+    assert peak < 4.5 * n * 8
 
 
 _TABLE_X = build_grid(-6.0, 6.0, 241).x

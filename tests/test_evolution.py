@@ -8,6 +8,7 @@ beyond the linear solves.
 """
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,46 @@ def test_store_every_keeps_first_and_last(harmonic_setup, constants):
     assert times == pytest.approx([0.0, 0.025, 0.05, 0.075, 0.1, 0.103])
     assert len(result.norm_history) == len(result.slices)
     assert len(result.energy_history) == len(result.slices)
+
+
+def test_keep_sees_every_stored_slice_and_retains_what_it_accepts(
+    harmonic_setup, constants
+):
+    v, pairs = harmonic_setup
+    full = evolve(pairs[1].state, v, 1e-3, 103, constants, store_every=25)
+    seen = []
+
+    def keep(index, w):
+        seen.append((index, w.time))
+        return index in (0, 2, 5)
+
+    result = evolve(pairs[1].state, v, 1e-3, 103, constants, store_every=25, keep=keep)
+    assert seen == [(k, w.time) for k, w in enumerate(full.slices)]
+    for w, ref in zip(result.slices, [full.slices[k] for k in (0, 2, 5)], strict=True):
+        assert w.time == ref.time and np.array_equal(w.values, ref.values)
+    # the histories cover every stored slice, retained or not
+    assert np.array_equal(result.norm_history, full.norm_history)
+    assert np.array_equal(result.energy_history, full.energy_history)
+
+
+def test_keep_retains_only_the_kept_slices(harmonic_setup, constants):
+    # 201 stored slices of 2401 complex points are 7.7 MB; keeping three
+    # must hold three, and the peak adds the factors and step temporaries
+    # (about ten slices' worth) to those
+    v, pairs = harmonic_setup
+    psi0 = pairs[0].state
+    one_slice = psi0.grid.n_points * 16
+    tracemalloc.start()
+    try:
+        result = evolve(
+            psi0, v, 1e-3, 200, constants, keep=lambda index, _: index < 3
+        )
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.slices) == 3 and len(result.norm_history) == 201
+    assert held < 4 * one_slice
+    assert peak < 20 * one_slice
 
 
 def test_evolve_validates_arguments(harmonic_setup, constants):

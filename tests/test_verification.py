@@ -8,10 +8,21 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qclab
-from qclab import ConfigError, evolve, make_context, verification
+from qclab import (
+    ConfigError,
+    FreePotential,
+    PrincipalFunctionField,
+    build_grid,
+    evolve,
+    free_principal_function,
+    make_context,
+    principal_function_from_characteristics,
+    verification,
+)
 from qclab.cli import main
 from qclab.config import RunConfig
 from qclab.verification import CHECKS, CRITERIA, run_verify_all
@@ -244,6 +255,44 @@ def test_the_characteristics_scenario_keeps_the_caustic_sweep_small(warm_context
     free_field = 101 * 4001 * 8
     _, peak = _traced(lambda: verification.criterion_characteristics(warm_context))
     assert peak < 5 * free_field  # 16.2 MB
+
+
+def test_the_free_characteristics_check_builds_no_field(warm_context):
+    grid = warm_context.wide_grid
+    s_fn = free_principal_function(0.5, warm_context.constants)
+    field = principal_function_from_characteristics(
+        FreePotential(), s_fn(grid.x, 0.0), grid, 1e-3, 100, warm_context.constants
+    )
+    _, peak = _traced(
+        lambda: verification.free_characteristics_check(warm_context, field, s_fn, "")
+    )
+    # the closed form, the difference or a masked copy over the whole
+    # field would each take 101 x 4001 x 8 B = 3.2 MB
+    assert peak < field.s.nbytes
+
+
+def test_the_free_characteristics_check_reads_only_valid_points(warm_context):
+    grid = build_grid(-1.0, 1.0, 5)
+    s_fn = free_principal_function(0.5, warm_context.constants)
+    times = np.array([0.0, 0.1])
+    exact = s_fn(grid.x[None, :], times[:, None])
+    valid = np.array([[True] * 5, [False, True, True, False, False]])
+    s = np.where(valid, exact, np.nan)
+    s[1, 2] += 3e-7
+    field = PrincipalFunctionField(s, valid, times, grid)
+    check = verification.free_characteristics_check(warm_context, field, s_fn, "")
+    assert check.measured == pytest.approx(3e-7, rel=1e-6) and check.passed
+    nowhere_valid = PrincipalFunctionField(s, np.zeros_like(valid), times, grid)
+    with pytest.raises(ValueError):
+        verification.free_characteristics_check(warm_context, nowhere_valid, s_fn, "")
+
+
+def test_the_ground_evolution_keeps_one_period_and_one_stride(warm_context):
+    result = warm_context.ground_evolution
+    # stored every 61 steps: 165 slices in all, the checks read 0..104
+    assert len(result.norm_history) == len(result.energy_history) == 165
+    assert len(result.slices) == 105
+    assert result.slices[-1].time == pytest.approx(104 * 61 * 1e-3)
 
 
 def test_the_madelung_scenario_holds_a_window_not_the_series(warm_context):
