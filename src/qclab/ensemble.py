@@ -169,7 +169,7 @@ def run_classical_ensemble(
     grid: Grid1D,
     dt: float,
     n_steps: int,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
     store_every: int = 100,
 ) -> EnsembleResult:
     """Integrate n_samples classical orbits drawn from the energy spec.
@@ -222,26 +222,29 @@ def run_classical_ensemble(
         return pv * pv / (2.0 * m) + potential.energy(xv, constants)
 
     def histogram(xv: np.ndarray) -> np.ndarray:
-        return np.histogram(xv, bins=grid.x, weights=counts)[0].astype(np.int64)
+        return np.histogram(xv, bins=grid.x, weights=counts)[0]
+
+    # step k goes to row ceil(k / store_every), a final step off the stride too
+    hist_times = np.zeros(1 - (-n_steps // store_every))
+    histograms = np.empty((hist_times.size, grid.x.size - 1), dtype=np.int64)
+    histograms[0] = histogram(x)
 
     h0 = hamiltonian(x, p)
     drift = np.zeros(x.size)
-    hist_times = [0.0]
-    histograms = [histogram(x)]
-
     force = potential.force(x, constants)
     for k in range(1, n_steps + 1):
         x, p, force = verlet_step(potential, x, p, force, dt, constants)
         if k % store_every == 0 or k == n_steps:
             np.maximum(drift, np.abs(hamiltonian(x, p) - h0) / np.abs(h0), out=drift)
-            hist_times.append(k * dt)
-            histograms.append(histogram(x))
+            row = -(-k // store_every)
+            hist_times[row] = k * dt
+            histograms[row] = histogram(x)
 
     drift_by_key = np.zeros(2 * n_levels)
     drift_by_key[keys] = drift
     return EnsembleResult(
-        histogram_times=np.asarray(hist_times),
-        histograms=np.asarray(histograms),
+        histogram_times=hist_times,
+        histograms=histograms,
         bin_edges=grid.x.copy(),
         sample_energies=energies,
         energy_drift=drift_by_key[launch],

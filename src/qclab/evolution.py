@@ -48,8 +48,6 @@ class EvolutionResult:
     """
 
     slices: tuple[WaveFunction, ...]
-    dt: float
-    store_every: int
     norm_history: np.ndarray
     energy_history: np.ndarray
 
@@ -59,7 +57,7 @@ def evolve(
     potential_values: np.ndarray,
     dt: float,
     n_steps: int,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
     store_every: int = 1,
     keep: Callable[[int, WaveFunction], bool] | None = None,
 ) -> EvolutionResult:
@@ -122,9 +120,7 @@ def evolve(
                 slices.append(w)
             norms.append(w.norm)
             energies.append(rayleigh(v))
-    return EvolutionResult(
-        tuple(slices), dt, store_every, np.asarray(norms), np.asarray(energies)
-    )
+    return EvolutionResult(tuple(slices), np.asarray(norms), np.asarray(energies))
 
 
 class Observable(enum.Enum):
@@ -135,7 +131,7 @@ class Observable(enum.Enum):
 def expectation(
     psi: WaveFunction,
     observable: Observable,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
 ) -> float:
     """<psi| O |psi> by trapezoid quadrature; the O(1e-10) imaginary
     residue is asserted small and discarded.

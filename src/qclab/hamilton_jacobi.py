@@ -136,7 +136,7 @@ def integrate_hamilton(
     p0: float,
     dt: float,
     n_steps: int,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
 ) -> Trajectory:
     """One velocity-Verlet orbit from (x0, p0), with running action."""
     check_run_arguments(dt, n_steps)
@@ -151,7 +151,7 @@ def integrate_hamilton(
 
 
 def free_principal_function(
-    energy: float, constants: PhysicalConstants = PhysicalConstants()
+    energy: float, constants: PhysicalConstants
 ) -> Callable[[Scalar, Scalar], Scalar]:
     """Closed-form S(x, t) = -E t + x sqrt(2mE) for inertial motion.
 
@@ -175,7 +175,7 @@ def principal_function_from_characteristics(
     grid: Grid1D,
     dt: float,
     n_steps: int,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
     store_every: int = 1,
 ) -> PrincipalFunctionField:
     """S(x, t) by launching one characteristic per grid point.

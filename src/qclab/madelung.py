@@ -79,7 +79,7 @@ def _unmasked_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 def decompose(
-    psi: WaveFunction, constants: PhysicalConstants = PhysicalConstants()
+    psi: WaveFunction, constants: PhysicalConstants
 ) -> PolarField:
     """Split psi into modulus and unwrapped phase (in action units).
 
@@ -101,7 +101,7 @@ def decompose(
 
 
 def recompose(
-    polar: PolarField, constants: PhysicalConstants = PhysicalConstants()
+    polar: PolarField, constants: PhysicalConstants
 ) -> WaveFunction:
     """Inverse of decompose; masked points borrow the nearest unmasked phase."""
     phase = polar.phase
@@ -114,7 +114,7 @@ def recompose(
 
 
 def quantum_potential(
-    polar: PolarField, constants: PhysicalConstants = PhysicalConstants()
+    polar: PolarField, constants: PhysicalConstants
 ) -> np.ndarray:
     """v_q = -(hbar^2/2m) * lambda''/lambda, NaN on the dilated node mask.
 
@@ -157,7 +157,7 @@ def _beside_branch_jump(polar: PolarField, constants: PhysicalConstants) -> np.n
 
 
 def phase_jump_guard(
-    polar: PolarField, constants: PhysicalConstants = PhysicalConstants()
+    polar: PolarField, constants: PhysicalConstants
 ) -> np.ndarray:
     """Phase with NaN at points whose central stencil crosses a branch jump.
 
@@ -175,7 +175,7 @@ def phase_jump_guard(
 def madelung_residuals(
     series: Sequence[WaveFunction],
     potential_values: np.ndarray,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of the phase and continuity equations along an evolution.
 
@@ -250,7 +250,7 @@ class AmplitudeRelationResult:
 
 
 def verify_1d_amplitude_relation(
-    polar: PolarField, constants: PhysicalConstants = PhysicalConstants()
+    polar: PolarField, constants: PhysicalConstants
 ) -> AmplitudeRelationResult:
     """Constancy of lambda^2 * dPhi/dx for a stationary 1D state.
 
@@ -285,7 +285,7 @@ def verify_oscillator_identity(
     n: int,
     eig: EigenPair,
     omega: float,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
 ) -> float:
     """Residual of the harmonic-modulus identity, normalized.
 
@@ -315,7 +315,7 @@ def verify_modified_hj(
     psi: WaveFunction,
     potential_values: np.ndarray,
     energy: float,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
 ) -> float:
     """Max residual of (dPhi/dx)^2 = 2m (E - V_t) for a stationary state
     of energy E.

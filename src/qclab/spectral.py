@@ -153,7 +153,7 @@ def stationary_scattering_state(
     potential: Potential,
     grid: Grid1D,
     energy: float,
-    constants: PhysicalConstants = PhysicalConstants(),
+    constants: PhysicalConstants,
 ) -> WaveFunction:
     """Above-barrier stationary state psi_E by a Numerov sweep.
 

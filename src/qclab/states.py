@@ -48,17 +48,16 @@ class WaveFunction:
 
 
 def plane_wave(
-    grid: Grid1D, energy: float, constants: PhysicalConstants, time: float = 0.0
+    grid: Grid1D, energy: float, constants: PhysicalConstants
 ) -> WaveFunction:
-    """Free stationary state exp(i(k x - E t)/hbar·...) with hbar*k = sqrt(2mE).
+    """Free stationary state exp(i k x) at t = 0, with hbar*k = sqrt(2mE).
 
     Not normalizable on the line; |psi| == 1 by construction.
     """
     if not (energy > 0.0):
         raise ValueError(f"plane wave needs energy > 0, got {energy}")
     k = np.sqrt(2.0 * constants.mass * energy) / constants.hbar
-    phase = k * grid.x - energy * time / constants.hbar
-    return WaveFunction(np.exp(1j * phase), grid, time)
+    return WaveFunction(np.exp(1j * (k * grid.x)), grid)
 
 
 def gaussian_packet(
@@ -86,14 +85,12 @@ def harmonic_eigenfunction(
     grid: Grid1D,
     omega: float,
     constants: PhysicalConstants,
-    time: float = 0.0,
 ) -> WaveFunction:
-    """Analytic n-th oscillator eigenstate, continuum-normalized.
+    """Analytic n-th oscillator eigenstate at t = 0, continuum-normalized.
 
     phi_n(x) = (m w / pi hbar)^(1/4) / sqrt(2^n n!) * H_n(xi) e^{-xi^2/2},
     xi = x sqrt(m w / hbar), with physicists' Hermite polynomials by the
-    three-term recurrence (stable for the small n used here).  time only
-    stamps the slice; the stationary phase factor is the caller's choice.
+    three-term recurrence (stable for the small n used here).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -116,7 +113,7 @@ def harmonic_eigenfunction(
     for k in range(2, n + 1):
         h, h_prev = 2.0 * xi * h - 2.0 * (k - 1) * h_prev, h
     values = norm * h * np.exp(-0.5 * xi**2)
-    return WaveFunction(values.astype(complex), grid, time)
+    return WaveFunction(values.astype(complex), grid)
 
 
 def probability_current(

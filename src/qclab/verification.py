@@ -26,26 +26,24 @@ direction; CHECKS declares each check once: its default tolerance, its
 comparator and the identity it exercises.
 
 verify-all runs the scenarios one after another, in CRITERIA order, on
-the calling thread, so checks and report rows keep that order.  The three
-Crank-Nicolson evolutions they share (the ground state, the Ehrenfest
-packet, the superposition) run meanwhile on a second thread; each is one
-single-threaded evolve call, the same as when a scenario computes it on
-first read.  Each intermediate holds only what its scenarios read: of
-the packet evolution, <x>(t), taken slice by slice as evolve produces
+the calling thread, so checks and report rows keep that order.  That
+thread first computes every input of the three Crank-Nicolson evolutions
+they share (ground state, Ehrenfest packet, superposition) and hands the
+evolutions to a two-worker pool; all else is computed lazily on the
+calling thread.  Each intermediate holds only what its scenarios read:
+of the packet evolution, <x>(t), taken slice by slice as evolve produces
 them; of the ground evolution, the slices through one period plus one
 stride, with the norm history of all 10004 steps.  Wall-clock seconds
 per scenario go into the report's timing block, which is excluded from
 byte-identity comparisons.  An entry is the scenario's own work plus any
-wait for a prefetched evolution; the eigensolve, done before the first
-scenario, is in no entry.
+wait for a prefetched evolution; the evolutions' inputs are in no entry.
 """
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -210,52 +208,20 @@ _EHRENFEST_STEPS = 6283  # one period
 _GROUND_STRIDE = 61  # steps between stored ground-evolution slices
 
 
-def _shared(compute):
-    """A VerifyContext intermediate, computed once per context.
-
-    It stays a cached_property, but the once-only guarantee comes from a
-    lock per context and name: cached_property has no lock of its own
-    from Python 3.12 on, and run_verify_all reads intermediates from two
-    threads.  A reader that arrives while another thread computes waits
-    for it; an exception is kept and re-raised to every reader.
-    """
-    name = compute.__name__
-
-    @wraps(compute)
-    def once(ctx: "VerifyContext"):
-        with ctx._guard:
-            lock = ctx._locks.setdefault(name, threading.Lock())
-        with lock:
-            if name not in ctx._outcomes:
-                try:
-                    ctx._outcomes[name] = (compute(ctx), None)
-                except Exception as exc:
-                    ctx._outcomes[name] = (None, exc)
-        value, error = ctx._outcomes[name]
-        if error is not None:
-            raise error
-        return value
-
-    return cached_property(once)
-
-
 @dataclass
 class VerifyContext:
     """Tolerances, seed, and lazily shared heavy intermediates.
 
     The eigensolve and the three Crank-Nicolson evolutions are computed
     once and reused by every criterion that needs them.  Each is computed
-    on first read, or ahead of time by run_verify_all's second thread.
+    on first read, on the reading thread, except an evolution that
+    prefetch has handed to a pool: reading it waits for that run.
     """
 
     constants: PhysicalConstants
     tolerances: dict[str, float]
     seed: int
-    _guard: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-    _locks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _futures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def check(self, name: str, measured: float, detail: str = "") -> CheckResult:
         """The named check against this context's tolerance; the comparator
@@ -267,33 +233,48 @@ class VerifyContext:
             name, measured, self.tolerances[name], identity, comparator, detail
         )
 
-    @_shared
+    @cached_property
     def wide_grid(self) -> Grid1D:
         return build_grid(-20.0, 20.0, 4001)
 
-    @_shared
+    @cached_property
     def harmonic_grid(self) -> Grid1D:
         return build_grid(-12.0, 12.0, 2401)  # dx = 0.01
 
-    @_shared
+    @cached_property
     def harmonic_potential_values(self) -> np.ndarray:
         return HarmonicPotential(_OMEGA).on_grid(self.harmonic_grid, self.constants)
 
-    @_shared
+    @cached_property
     def harmonic_pairs(self):
         h = assemble_hamiltonian(
             HarmonicPotential(_OMEGA), self.harmonic_grid, self.constants
         )
         return solve_lowest_eigenpairs(h, _BASIS_SIZE)
 
-    @_shared
+    @cached_property
     def harmonic_coarse_ground(self):
         grid = build_grid(-12.0, 12.0, 1201)  # dx = 0.02
         h = assemble_hamiltonian(HarmonicPotential(_OMEGA), grid, self.constants)
         return solve_lowest_eigenpairs(h, 1)[0]
 
-    @_shared
+    def prefetch(self, pool) -> list:
+        """Compute the evolutions' inputs on this thread, then submit the
+        evolutions to pool in the order the scenarios first read them."""
+        self.harmonic_pairs, self.harmonic_potential_values, self.superposition_state
+        for run in (self._evolve_ground, self._evolve_packet, self._evolve_superposition):
+            self._futures[run.__name__] = pool.submit(run)
+        return list(self._futures.values())
+
+    def _prefetched(self, run):
+        future = self._futures.get(run.__name__)
+        return run() if future is None else future.result()
+
+    @cached_property
     def ground_evolution(self) -> EvolutionResult:
+        return self._prefetched(self._evolve_ground)
+
+    def _evolve_ground(self) -> EvolutionResult:
         # 10004 steps = 164 * 61: stored slices stay uniformly spaced,
         # slice 103 sits at t = 6.283 (one period to dt/5), and the
         # horizon covers the 1e4-step norm-drift window.  The checks read
@@ -311,10 +292,13 @@ class VerifyContext:
             keep=lambda index, _: index < kept,
         )
 
-    @_shared
+    @cached_property
     def packet_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, <x>) of the Ehrenfest packet's stored slices, each
         slice reduced to <x> as it is produced and then dropped."""
+        return self._prefetched(self._evolve_packet)
+
+    def _evolve_packet(self) -> tuple[np.ndarray, np.ndarray]:
         packet = gaussian_packet(
             self.harmonic_grid, 2.0, 0.0, 2.0**-0.5, self.constants
         )
@@ -336,18 +320,21 @@ class VerifyContext:
         )
         return np.array(times), np.array(positions)
 
-    @_shared
+    @cached_property
     def superposition_weights(self) -> WeightingFunction:
         energies = np.array([pair.energy for pair in self.harmonic_pairs])
         raw = np.exp(-((energies - 4.0) ** 2) / (2.0 * 1.5**2))
         return WeightingFunction(raw.astype(complex)).normalized()
 
-    @_shared
+    @cached_property
     def superposition_state(self) -> WaveFunction:
         return build_superposition(self.harmonic_pairs, self.superposition_weights)
 
-    @_shared
+    @cached_property
     def superposition_evolution(self) -> EvolutionResult:
+        return self._prefetched(self._evolve_superposition)
+
+    def _evolve_superposition(self) -> EvolutionResult:
         return evolve(
             self.superposition_state,
             self.harmonic_potential_values,
@@ -356,11 +343,6 @@ class VerifyContext:
             self.constants,
             store_every=250,
         )
-
-
-# the Crank-Nicolson runs run_verify_all computes on its pool, in the order
-# the scenarios first read them
-_PREFETCHED = ("ground_evolution", "packet_positions", "superposition_evolution")
 
 
 def inertial_checks(
@@ -726,9 +708,10 @@ def run_verify_all(
 ) -> VerificationReport:
     """Run every canonical scenario; one report, one row per check.
 
-    The scenarios run in CRITERIA order on the calling thread while a
-    two-worker pool computes the three Crank-Nicolson evolutions; a
-    scenario that reads one waits for it.
+    The calling thread computes the three Crank-Nicolson evolutions'
+    inputs, submits the evolutions to a two-worker pool, then runs the
+    scenarios in CRITERIA order with every other intermediate computed
+    lazily on it; a scenario that reads an evolution waits for it.
     """
     # deferred: `import qclab.cli` does not need the pool machinery
     from concurrent.futures import ThreadPoolExecutor
@@ -744,12 +727,11 @@ def run_verify_all(
             "tolerances": {k: ctx.tolerances[k] for k in sorted(ctx.tolerances)},
         },
     )
-    # the ground evolution starts from these pairs, and the eigensolve
-    # loads the LAPACK bindings, so workers start with both in place
-    ctx.harmonic_pairs
+    # prefetch's eigensolve loads the LAPACK bindings before the first
+    # submit, so the workers start with them in place
     pool = ThreadPoolExecutor(max_workers=2)
     try:
-        futures = [pool.submit(getattr, ctx, name) for name in _PREFETCHED]
+        futures = ctx.prefetch(pool)
         for scenario_id, builder in CRITERIA:
             started = time.perf_counter()
             report.checks.extend(builder(ctx))

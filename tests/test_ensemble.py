@@ -182,6 +182,24 @@ def test_a_large_ensemble_holds_its_outputs_and_the_draw(constants):
     assert peak < 4.5 * n * 8
 
 
+def test_stored_histograms_are_held_once(constants):
+    spec = EnsembleSpec(np.array([0.5, 1.5]), np.array([0.5, 0.5]), 4, 3)
+    grid = build_grid(-12.0, 12.0, 2401)
+    args = (HarmonicPotential(1.0), grid, 1e-2, 640, constants)
+    # the first run in a process loads part of numpy.random (~0.8 MB)
+    run_classical_ensemble(spec, *args, store_every=10)
+    tracemalloc.start()
+    try:
+        result = run_classical_ensemble(spec, *args, store_every=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.histograms.shape == (65, 2400)
+    # the 65 x 2400 int64 histograms (1.25 MB), filled in place, plus
+    # per-step temporaries of a few grid lengths
+    assert peak < 1.5 * result.histograms.nbytes
+
+
 _TABLE_X = build_grid(-6.0, 6.0, 241).x
 
 

@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import qclab
 from qclab import (
     EnsembleSpec,
     FreePotential,
@@ -59,21 +63,41 @@ def test_constants_must_be_finite(kwargs):
         PhysicalConstants(**kwargs)
 
 
+def test_no_public_function_defaults_the_constants():
+    # a call that forgets hbar or m must fail, not run at hbar = m = 1
+    defaulted = []
+    for info in pkgutil.iter_modules(qclab.__path__):
+        module = importlib.import_module(f"qclab.{info.name}")
+        for name, obj in vars(module).items():
+            own = getattr(obj, "__module__", None) == module.__name__
+            if name.startswith("_") or not own:
+                continue
+            functions = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                functions = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            for function in functions:
+                parameter = inspect.signature(function).parameters.get("constants")
+                if parameter is not None and parameter.default is not parameter.empty:
+                    defaulted.append(f"{module.__name__}.{function.__qualname__}")
+    assert defaulted == []
+
+
 _GRID = build_grid(-1.0, 1.0, 11)
-_PACKET = gaussian_packet(_GRID, 0.0, 0.0, 0.3, PhysicalConstants())
+_UNIT = PhysicalConstants()
+_PACKET = gaussian_packet(_GRID, 0.0, 0.0, 0.3, _UNIT)
 _RUNNERS = {
     "evolve": lambda dt, n, every: evolve(
-        _PACKET, np.zeros(11), dt, n, store_every=every
+        _PACKET, np.zeros(11), dt, n, _UNIT, store_every=every
     ),
     "integrate_hamilton": lambda dt, n, every: integrate_hamilton(
-        FreePotential(), 0.0, 1.0, dt, n
+        FreePotential(), 0.0, 1.0, dt, n, _UNIT
     ),
     "characteristics": lambda dt, n, every: principal_function_from_characteristics(
-        FreePotential(), np.zeros(11), _GRID, dt, n, store_every=every
+        FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT, store_every=every
     ),
     "ensemble": lambda dt, n, every: run_classical_ensemble(
         EnsembleSpec(np.array([0.5]), np.array([1.0]), 4, 0),
-        FreePotential(), _GRID, dt, n, store_every=every,
+        FreePotential(), _GRID, dt, n, _UNIT, store_every=every,
     ),
 }
 _BAD_ARGUMENTS = {

@@ -1,11 +1,14 @@
 """The verification context: tolerance table, overrides, scale semantics,
-and the once-only intermediates verify-all computes on a second thread."""
+and the once-only intermediates, of which verify-all's two-worker pool
+computes only the three evolutions."""
 import math
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ from qclab import (
 )
 from qclab.cli import main
 from qclab.config import RunConfig
-from qclab.verification import CHECKS, CRITERIA, run_verify_all
+from qclab.verification import CHECKS, CRITERIA, VerifyContext, run_verify_all
 
 DEFAULTS = {name: tolerance for name, (tolerance, _, _) in CHECKS.items()}
 
@@ -188,12 +191,44 @@ def test_worker_error_exits_2_with_one_line_and_no_thread_left(
     assert threading.active_count() == threads
 
 
+_EVOLUTIONS = {"ground_evolution", "packet_positions", "superposition_evolution"}
+
+
+def test_only_the_evolutions_are_computed_off_the_calling_thread(monkeypatch):
+    # every intermediate's compute and every evolve call, with its thread
+    threads = {}
+    for name, prop in list(vars(VerifyContext).items()):
+        if isinstance(prop, cached_property):
+
+            def recorded(ctx, compute=prop.func, name=name):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return compute(ctx)
+
+            wrapped = cached_property(recorded)
+            wrapped.__set_name__(VerifyContext, name)
+            monkeypatch.setattr(VerifyContext, name, wrapped)
+    evolve_threads = []
+    real_evolve = verification.evolve
+
+    def recorded_evolve(*args, **kwargs):
+        evolve_threads.append(threading.get_ident())
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve", recorded_evolve)
+    run_verify_all()
+    caller = threading.get_ident()
+    assert len(threads) == 10
+    off_thread = {name for name, idents in threads.items() if idents != {caller}}
+    assert off_thread <= _EVOLUTIONS
+    assert len(evolve_threads) == 3 and caller not in evolve_threads
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
 def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fails):
     calls = []
 
-    def slow_evolve(*args, **kwargs):
-        calls.append(threading.get_ident())
+    def slow_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        calls.append(n_steps)
         time.sleep(0.05)
         if fails:
             raise RuntimeError("evolution failed")
@@ -201,7 +236,6 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fa
 
     monkeypatch.setattr(verification, "evolve", slow_evolve)
     ctx = make_context()
-    ctx.harmonic_pairs
     outcomes = []
 
     def read():
@@ -210,20 +244,23 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fa
         except RuntimeError as exc:
             outcomes.append(exc)
 
-    # more readers than cores, switching threads as often as possible
+    # readers arrive while the prefetched evolution runs: more readers
+    # than cores, switching threads as often as possible
     readers = [threading.Thread(target=read) for _ in range(3)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for reader in readers:
-            reader.start()
-        read()
-        for reader in readers:
-            reader.join(timeout=10.0)
-    finally:
-        sys.setswitchinterval(interval)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        ctx.prefetch(pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            read()
+            for reader in readers:
+                reader.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
     assert not any(reader.is_alive() for reader in readers)
-    assert len(calls) == 1
+    assert sorted(calls) == [1000, 6283, 10004]
     assert len(outcomes) == 4 and all(o is outcomes[0] for o in outcomes)
     assert isinstance(outcomes[0], RuntimeError) == fails
 
