@@ -23,11 +23,9 @@ from .ensemble import (
 from .evolution import EvolutionResult, Observable, evolve, expectation
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
-    PrincipalFunctionField,
     Trajectory,
     free_principal_function,
     integrate_hamilton,
-    principal_function_from_characteristics,
     verlet_step,
 )
 from .madelung import (

@@ -54,7 +54,7 @@ from .grids import Grid1D, check_run_arguments
 from .hamilton_jacobi import (
     free_principal_function,
     integrate_hamilton,
-    principal_function_from_characteristics,
+    principal_function_slices,
 )
 from .madelung import (
     decompose,
@@ -306,15 +306,9 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     v = config.potential.on_grid(grid, constants)
     v_q = quantum_potential(polar, constants)
     v_t = total_potential(v_q, v)
-    _write_columns(
-        out / "polar.csv",
-        ["x", "lambda", "phi", "v_q", "v_t", "masked"],
-        grid.x,
-        polar.modulus,
-        *(np.where(np.isfinite(a), a, np.nan) for a in (polar.phase, v_q, v_t)),
-        polar.node_mask,
-    )
-
+    # every number is computed before the first file is written
+    if not np.isfinite(v_q).any():
+        raise ValueError("V_q has no finite point: every grid point is on or beside a node")
     roundtrip = recompose(polar, constants)
     # compare up to the (physically irrelevant) global phase freeze at
     # masked points: direct difference where the input was unmasked
@@ -341,8 +335,6 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
         summary["oscillator_identity_residual"] = verify_oscillator_identity(
             oscillator_index, pair, config.get("potential.omega"), constants
         )
-    _write_json(out / "summary.json", summary)
-
     checks = [ctx.check("polar_roundtrip_error", roundtrip_err)]
     if config.get("potential.kind") == "free" and energy is not None:
         # free stationary states are taken in the running-wave
@@ -359,6 +351,15 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
                 f"n={oscillator_index}",
             )
         )
+    _write_columns(
+        out / "polar.csv",
+        ["x", "lambda", "phi", "v_q", "v_t", "masked"],
+        grid.x,
+        polar.modulus,
+        *(np.where(np.isfinite(a), a, np.nan) for a in (polar.phase, v_q, v_t)),
+        polar.node_mask,
+    )
+    _write_json(out / "summary.json", summary)
     return summary, checks
 
 
@@ -414,27 +415,22 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     if s0_kind is None:
         return metadata, checks
 
-    # the free-motion check reads every step; otherwise the sweep stores
-    # only the slices that are written
-    free_check = s0_kind == "free" and config.get("potential.kind") == "free"
-    every = 1 if free_check else stride
-    field = principal_function_from_characteristics(
-        potential, s0, grid, dt, n_steps, constants, store_every=every
-    )
     x = np.array(_cells(grid.x))
-    for k in range(0, n_steps + 1, stride):
-        valid = field.validity_mask[k // every]
-        _write_columns(
-            out / f"s_field_{k:04d}.csv",
-            ["x", "s", "valid"],
-            x,
-            np.where(valid, field.s[k // every], np.nan),
-            valid,
-        )
-    if free_check:
-        checks.append(
-            free_characteristics_check(ctx, field, s_fn, f"{n_steps} steps, dt={dt}")
-        )
+
+    def written(slices):
+        # one pass: every stride-th slice is written as the sweep reaches it
+        for k, s, valid in slices:
+            if k % stride == 0:
+                _write_columns(out / f"s_field_{k:04d}.csv", ["x", "s", "valid"], x, s, valid)
+            yield k, s, valid
+
+    slices = written(principal_function_slices(potential, s0, grid, dt, n_steps, constants))
+    if s0_kind == "free" and config.get("potential.kind") == "free":
+        detail = f"{n_steps} steps, dt={dt}"
+        checks.append(free_characteristics_check(ctx, slices, grid, dt, s_fn, detail))
+    else:
+        for _ in slices:
+            pass
     return metadata, checks
 
 

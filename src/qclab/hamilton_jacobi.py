@@ -56,29 +56,6 @@ class Trajectory:
             raise ValueError("sample counts disagree across trajectory fields")
 
 
-@dataclass(frozen=True)
-class PrincipalFunctionField:
-    """S on (time slices x grid), with a validity mask.
-
-    validity_mask[k, i] is False where no single-valued S exists at that
-    space-time point: outside the characteristic fan, or anywhere from
-    the first caustic onward.  first_masked_step is the first sweep step
-    whose slice is fully masked, stored or not (None if there is none).
-    """
-
-    s: np.ndarray
-    validity_mask: np.ndarray
-    times: np.ndarray
-    grid: Grid1D
-    first_masked_step: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.s.shape != self.validity_mask.shape:
-            raise ValueError("s and validity_mask shapes differ")
-        if self.s.shape != (self.times.shape[0], self.grid.n_points):
-            raise ValueError("s must be (n_slices, n_points)")
-
-
 def verlet_step(
     potential: Potential,
     x: Scalar,
@@ -169,47 +146,45 @@ def free_principal_function(
     return s
 
 
-def principal_function_from_characteristics(
+def principal_function_slices(
     potential: Potential,
     s0: np.ndarray,
     grid: Grid1D,
     dt: float,
     n_steps: int,
     constants: PhysicalConstants,
-    store_every: int = 1,
-) -> PrincipalFunctionField:
-    """S(x, t) by launching one characteristic per grid point.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """S(x, t) by launching one characteristic per grid point, one slice
+    at a time: yields (step, S, valid) for steps 0..n_steps as the sweep
+    reaches them, each a fresh pair of arrays on the grid.
 
     Initial momenta are p0 = dS0/dx (central differences).  At each
-    slice the endpoints carry S0(x0) + action; they are deposited at
+    step the endpoints carry S0(x0) + action; they are deposited at
     their current positions and linearly re-interpolated to the grid.
-    Points outside the transported fan are masked, and the first slice
-    at which the endpoint ordering inverts (characteristics crossing —
-    a caustic) masks itself and everything after it.  Only the slices of
-    steps 0, store_every, 2 store_every, ... <= n_steps are stored.
+    valid is False, and S NaN, outside the transported fan; the first
+    step at which the endpoint ordering inverts (characteristics
+    crossing — a caustic) and every later one are masked whole, and no
+    orbit is stepped past it.  The arguments are checked on the call,
+    before the first slice is asked for.
     """
     if s0.shape != (grid.n_points,):
         raise ValueError("s0 must be sampled on the grid")
-    check_run_arguments(dt, n_steps, store_every)
-    p0 = gradient(s0, grid.dx)
-    n_slices = n_steps // store_every + 1
-    s = np.full((n_slices, grid.n_points), np.nan)
-    mask = np.zeros((n_slices, grid.n_points), dtype=bool)
-    s[0], mask[0] = s0, True
-    first_masked = None
-    # one step at a time: the characteristics are never stored, and the
-    # sweep stops at the first crossing (every later slice is masked)
-    steps = _verlet_with_action(potential, grid.x.copy(), p0, dt, n_steps, constants)
-    next(steps)
-    for k, (pos, _, action) in enumerate(steps, start=1):
-        crossed = np.any(np.diff(pos) <= 0.0)
-        inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
-        if first_masked is None and (crossed or not inside.any()):
-            first_masked = k
-        if crossed:
-            break
-        if k % store_every == 0:
-            s[k // store_every] = np.where(inside, np.interp(grid.x, pos, s0 + action), np.nan)
-            mask[k // store_every] = inside
-    times = dt * (store_every * np.arange(n_slices))
-    return PrincipalFunctionField(s, mask, times, grid, first_masked)
+    check_run_arguments(dt, n_steps)
+
+    def sweep() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        yield 0, np.array(s0, dtype=float), np.ones(grid.n_points, dtype=bool)
+        # one step at a time: the characteristics are never stored
+        p0 = gradient(s0, grid.dx)
+        steps = _verlet_with_action(potential, grid.x.copy(), p0, dt, n_steps, constants)
+        next(steps)
+        crossing = n_steps + 1
+        for k, (pos, _, action) in enumerate(steps, start=1):
+            if np.any(np.diff(pos) <= 0.0):
+                crossing = k
+                break
+            inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
+            yield k, np.where(inside, np.interp(grid.x, pos, s0 + action), np.nan), inside
+        for k in range(crossing, n_steps + 1):
+            yield k, np.full(grid.n_points, np.nan), np.zeros(grid.n_points, dtype=bool)
+
+    return sweep()

@@ -44,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,10 +63,9 @@ from .ensemble import (
 from .evolution import EvolutionResult, Observable, evolve, expectation
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
-    PrincipalFunctionField,
     free_principal_function,
     integrate_hamilton,
-    principal_function_from_characteristics,
+    principal_function_slices,
 )
 from .madelung import (
     decompose,
@@ -382,18 +381,24 @@ def phase_action_gap_check(
 
 
 def free_characteristics_check(
-    ctx: VerifyContext, field: PrincipalFunctionField, s_fn, detail: str
+    ctx: VerifyContext,
+    slices: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    grid: Grid1D,
+    dt: float,
+    s_fn,
+    detail: str,
 ) -> CheckResult:
-    """Largest deviation of a characteristics field from the closed-form
-    free principal function s_fn(x, t) over its valid points.
+    """Largest deviation of characteristics slices (step, S, valid), as
+    principal_function_slices yields them, from the closed-form free
+    principal function s_fn(x, step * dt) over their valid points.
 
-    The field is compared one stored row at a time, so no field-sized
-    temporary is built.  A field with no valid point raises ValueError.
+    The slices are read one at a time, so no field is built.  Slices
+    with no valid point at all raise ValueError.
     """
-    x = field.grid.x
+    x = grid.x
     deviations = [
-        np.max(np.abs(s[valid] - s_fn(x[valid], t)))
-        for s, valid, t in zip(field.s, field.validity_mask, field.times)
+        np.max(np.abs(s[valid] - s_fn(x[valid], k * dt)))
+        for k, s, valid in slices
         if valid.any()
     ]
     return ctx.check("characteristics_free_error", float(np.max(deviations)), detail)
@@ -612,31 +617,24 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
     grid = ctx.wide_grid
     energy = 0.5
     s_fn = free_principal_function(energy, ctx.constants)
-    field = principal_function_from_characteristics(
+    free = principal_function_slices(
         FreePotential(), s_fn(grid.x, 0.0), grid, _DT, 100, ctx.constants
     )
+    free_check = free_characteristics_check(ctx, free, grid, _DT, s_fn, "100 steps, dt=1e-3")
 
     grid_h = ctx.harmonic_grid
-    rest = principal_function_from_characteristics(
-        HarmonicPotential(_OMEGA),
-        np.zeros(grid_h.n_points),
-        grid_h,
-        _DT,
-        1600,
-        ctx.constants,
-        store_every=1600,
+    rest = principal_function_slices(
+        HarmonicPotential(_OMEGA), np.zeros(grid_h.n_points), grid_h, _DT, 1600, ctx.constants
     )
-    if rest.first_masked_step is None:
+    caustic = next((k for k, _, valid in rest if not valid.any()), None)
+    if caustic is None:
         caustic_steps = float("inf")
         detail = "no caustic detected within the horizon"
     else:
-        t_caustic = rest.first_masked_step * _DT
+        t_caustic = caustic * _DT
         caustic_steps = float(abs(t_caustic - 0.25 * _PERIOD) / _DT)
         detail = f"first fully-masked slice at t={t_caustic:.4f}, period/4={0.25 * _PERIOD:.4f}"
-    return [
-        free_characteristics_check(ctx, field, s_fn, "100 steps, dt=1e-3"),
-        ctx.check("caustic_time_error_steps", caustic_steps, detail),
-    ]
+    return [free_check, ctx.check("caustic_time_error_steps", caustic_steps, detail)]
 
 
 def criterion_rerun_determinism(ctx: VerifyContext) -> list[CheckResult]:

@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qclab.cli
 import qclab.spectral
 from qclab import ConfigError, EigensolverError, load_run_config, parse_config_text
 from qclab.cli import _CHUNK_ROWS, _write_columns, main
 from qclab.config import _SCHEMA, RunConfig
 from qclab.grids import PhysicalConstants, build_grid
+from qclab.hamilton_jacobi import principal_function_slices
 from qclab.potentials import (
     FreePotential,
     HarmonicPotential,
@@ -462,18 +464,9 @@ def test_hj_refuses_its_field_keys_before_writing_anything(
     assert list(out.iterdir()) == []
 
 
-def test_hj_sweeps_only_the_slices_it_writes(tmp_path, monkeypatch):
+def test_hj_sweeps_only_the_slices_it_writes(tmp_path):
     # rest release in the well: the caustic at t = pi/2 falls between
     # written slices, so some of them are fully masked
-    sweep = qclab.cli.principal_function_from_characteristics
-    strides = []
-    monkeypatch.setattr(
-        qclab.cli,
-        "principal_function_from_characteristics",
-        lambda *args, store_every: strides.append(store_every) or sweep(
-            *args, store_every=store_every
-        ),
-    )
     cfg = _write(
         tmp_path,
         SMALL_HARMONIC
@@ -482,20 +475,76 @@ def test_hj_sweeps_only_the_slices_it_writes(tmp_path, monkeypatch):
     )
     out = tmp_path / "out"
     assert main(["hj", "--config", str(cfg), "--out", str(out)]) == 0
-    assert strides == [80]
     config = load_run_config(cfg)
-    full = sweep(
+    sweep = principal_function_slices(
         config.potential, np.zeros(config.grid.n_points), config.grid, 5e-3, 600,
         config.constants,
     )
     written = sorted(out.glob("s_field_*.csv"))
     assert [p.name for p in written] == [f"s_field_{k:04d}.csv" for k in range(0, 601, 80)]
-    for path in written:
-        k = int(path.stem.removeprefix("s_field_"))
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert np.array_equal(data["s"], full.s[k], equal_nan=True)
-        assert np.array_equal(data["valid"].astype(bool), full.validity_mask[k])
-    assert not full.validity_mask[560].any()
+    for k, s, valid in sweep:
+        if k % 80:
+            continue
+        data = np.genfromtxt(out / f"s_field_{k:04d}.csv", delimiter=",", names=True)
+        assert np.array_equal(data["s"], s, equal_nan=True)
+        assert np.array_equal(data["valid"].astype(bool), valid)
+        if k == 560:
+            assert not valid.any()
+
+
+def test_hj_free_check_holds_no_field(tmp_path):
+    # the free check reads all 101 slices of a 4001-point sweep, two of
+    # which are written; it and the files hold a few slices at a time
+    cfg = _write(tmp_path, "hj.n_steps = 100\nhj.s0 = free\nhj.store_every = 100\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    one_field = 101 * 4001 * 8
+    tracemalloc.start()
+    try:
+        assert main(["hj", "--config", str(cfg), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(p.name for p in out.glob("s_field_*.csv")) == [
+        "s_field_0000.csv", "s_field_0100.csv"
+    ]
+    assert peak < one_field  # 3.23 MB
+
+
+def test_traced_hj_runs_exit_like_untraced_ones(tmp_path):
+    # the benchmark's tracer wraps qclab's names from outside and probes
+    # some results by attribute; a traced run must still finish
+    for name in ("free-hj", "harmonic-caustic-hj"):
+        spans = tmp_path / f"{name}.json"
+        run = subprocess.run(
+            [sys.executable, "perfbench/child.py", "--trace", str(spans), name,
+             "cli", "hj", "--config", f"configs/{name}.config",
+             "--out", str(tmp_path / name)],
+            capture_output=True, text=True, cwd=REPO,
+        )
+        assert run.returncode == 0, run.stderr
+        names = {row[2] for row in json.loads(spans.read_text())["spans"]}
+        assert "hamilton_jacobi.verlet_step" in names
+
+
+def test_madelung_with_no_finite_quantum_potential_exits_2_with_one_line(
+    tmp_path, capsys
+):
+    # re = 1, 0, 1, 0, ...: every point is on or beside a node
+    x = build_grid(-1.0, 1.0, 21).x.tolist()
+    state = tmp_path / "state.csv"
+    rows = [f"{a!r},{1 - i % 2}.0,0.0\n" for i, a in enumerate(x)]
+    state.write_text("x,re,im\n" + "".join(rows))
+    cfg = _write(
+        tmp_path,
+        "grid.n_points = 21\ngrid.x_min = -1\ngrid.x_max = 1\n"
+        f"madelung.csv = {state}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["madelung", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "V_q has no finite point" in err[0]
+    assert list(out.iterdir()) == []
 
 
 def test_eigen_rejects_a_grid_span_that_overflows(tmp_path, capsys):

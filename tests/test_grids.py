@@ -15,10 +15,10 @@ from qclab import (
     evolve,
     gaussian_packet,
     integrate_hamilton,
-    principal_function_from_characteristics,
     run_classical_ensemble,
 )
 from qclab.grids import check_run_arguments
+from qclab.hamilton_jacobi import principal_function_slices
 
 
 def test_grid_is_uniform_and_inclusive():
@@ -92,8 +92,9 @@ _RUNNERS = {
     "integrate_hamilton": lambda dt, n, every: integrate_hamilton(
         FreePotential(), 0.0, 1.0, dt, n, _UNIT
     ),
-    "characteristics": lambda dt, n, every: principal_function_from_characteristics(
-        FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT, store_every=every
+    # a generator of slices, refused on the call without being iterated
+    "characteristics": lambda dt, n, every: principal_function_slices(
+        FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT
     ),
     "ensemble": lambda dt, n, every: run_classical_ensemble(
         EnsembleSpec(np.array([0.5]), np.array([1.0]), 4, 0),
@@ -115,8 +116,9 @@ _BAD_ARGUMENTS = {
         (runner, arguments)
         for runner in _RUNNERS
         for arguments in _BAD_ARGUMENTS
-        # integrate_hamilton stores every step and takes no stride
-        if (runner, arguments) != ("integrate_hamilton", "store_every=0")
+        # integrate_hamilton and the characteristics sweep cover every
+        # step and take no stride
+        if arguments != "store_every=0" or runner in ("evolve", "ensemble")
     ],
 )
 def test_every_runner_rejects_bad_run_arguments_alike(runner, arguments):

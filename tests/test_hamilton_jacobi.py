@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclab.hamilton_jacobi
 from qclab import (
     FreePotential,
     HarmonicPotential,
     build_grid,
     free_principal_function,
     integrate_hamilton,
-    principal_function_from_characteristics,
 )
 from qclab.grids import PhysicalConstants
 from qclab.hamilton_jacobi import (
     Trajectory,
     _verlet_with_action,
+    principal_function_slices,
 )
 from qclab.stencils import gradient
 
@@ -73,20 +74,25 @@ def test_free_principal_function_closed_form(constants):
         free_principal_function(0.0, constants)
 
 
+def _field(potential, s0, grid, dt, n_steps, constants):
+    """Every slice of the sweep stacked: (steps, S, valid)."""
+    slices = principal_function_slices(potential, s0, grid, dt, n_steps, constants)
+    steps, s, valid = zip(*slices)
+    return np.array(steps), np.array(s), np.array(valid)
+
+
 def test_free_characteristics_rebuild_the_closed_form(constants):
     grid = build_grid(-20.0, 20.0, 2001)
     energy = 0.5
     s_fn = free_principal_function(energy, constants)
     s0 = np.asarray(s_fn(grid.x, 0.0))
-    field = principal_function_from_characteristics(
-        FreePotential(), s0, grid, 1e-2, 30, constants
-    )
+    dt = 1e-2
     worst = 0.0
-    for k, t in enumerate(field.times):
-        live = field.validity_mask[k]
+    for k, s, live in principal_function_slices(FreePotential(), s0, grid, dt, 30, constants):
         assert live.sum() > grid.n_points // 2
-        exact = s_fn(grid.x[live], t)
-        worst = max(worst, float(np.max(np.abs(field.s[k][live] - exact))))
+        exact = s_fn(grid.x[live], k * dt)
+        worst = max(worst, float(np.max(np.abs(s[live] - exact))))
+    assert k == 30
     assert worst < 1e-9
 
 
@@ -94,12 +100,10 @@ def test_free_characteristics_mask_drifts_with_the_fan(constants):
     # positive-momentum fan translates right; the left edge loses coverage
     grid = build_grid(-10.0, 10.0, 501)
     s0 = np.asarray(free_principal_function(2.0, constants)(grid.x, 0.0))
-    field = principal_function_from_characteristics(
-        FreePotential(), s0, grid, 0.05, 20, constants
-    )
-    assert not field.validity_mask[-1, 0]      # left edge exposed
-    assert field.validity_mask[-1, -1]         # right edge still covered
-    assert np.isnan(field.s[-1, 0])
+    _, s, valid = _field(FreePotential(), s0, grid, 0.05, 20, constants)
+    assert not valid[-1, 0]      # left edge exposed
+    assert valid[-1, -1]         # right edge still covered
+    assert np.isnan(s[-1, 0])
 
 
 def test_rest_release_caustic_is_detected_on_time(constants):
@@ -107,15 +111,16 @@ def test_rest_release_caustic_is_detected_on_time(constants):
     # characteristics cross at the focus t = pi/2
     grid = build_grid(-5.0, 5.0, 401)
     dt, n = 1e-2, 200
-    field = principal_function_from_characteristics(
-        HarmonicPotential(1.0), np.zeros(grid.n_points), grid, dt, n, constants
-    )
-    dead = np.nonzero(~field.validity_mask.any(axis=1))[0]
+    s0 = np.zeros(grid.n_points)
+    steps, _, valid = _field(HarmonicPotential(1.0), s0, grid, dt, n, constants)
+    assert np.array_equal(steps, np.arange(n + 1))
+    dead = np.nonzero(~valid.any(axis=1))[0]
     assert dead.size > 0
     first = int(dead[0])
-    assert abs(field.times[first] - math.pi / 2.0) <= 2.0 * dt
+    assert first == 158
+    assert abs(first * dt - math.pi / 2.0) <= 2.0 * dt
     # nothing recovers after the crossing
-    assert not field.validity_mask[first:].any()
+    assert not valid[first:].any()
 
 
 def _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants):
@@ -136,7 +141,7 @@ def _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants):
         inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
         s[k, ~inside] = np.nan
         mask[k] = inside
-    return s, mask, dt * np.arange(n_steps + 1)
+    return s, mask
 
 
 @pytest.mark.parametrize(
@@ -157,55 +162,16 @@ def test_streamed_sweep_equals_the_stored_orbit_field(
         s0 = np.asarray(free_principal_function(0.5, constants)(grid.x, 0.0))
     else:
         s0 = np.zeros(grid.n_points)
-    field = principal_function_from_characteristics(
-        potential, s0, grid, dt, n_steps, constants
-    )
-    s, mask, times = _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants)
+    slices = list(principal_function_slices(potential, s0, grid, dt, n_steps, constants))
+    arrays = [a for _, s, valid in slices for a in (s, valid)]
+    assert len({id(a) for a in arrays}) == len(arrays)  # fresh arrays
+    steps, s, valid = (np.array(column) for column in zip(*slices))
+    s_ref, mask_ref = _field_from_stored_orbits(potential, s0, grid, dt, n_steps, constants)
     if s0_kind == "zero":
-        assert not mask[-1].any()  # the run does go past the caustic
-    assert np.array_equal(field.s, s, equal_nan=True)
-    assert np.array_equal(field.validity_mask, mask)
-    assert np.array_equal(field.times, times)
-
-
-def _first_masked(field):
-    """The first fully masked slice of a store_every=1 field, or None."""
-    valid = field.validity_mask.any(axis=1)
-    return None if valid.all() else int(np.argmin(valid))
-
-
-@pytest.mark.parametrize("store_every", [7, 50, 1000])
-@pytest.mark.parametrize(
-    "potential, s0_kind, dt, n_steps",
-    [
-        (FreePotential(), "free", 1e-2, 100),
-        (HarmonicPotential(1.0), "free", 1e-2, 120),
-        (HarmonicPotential(1.0), "zero", 1e-2, 250),
-    ],
-    ids=["free", "harmonic", "harmonic-past-caustic"],
-)
-def test_strided_sweep_keeps_every_sth_row_of_the_full_field(
-    constants, potential, s0_kind, dt, n_steps, store_every
-):
-    grid = build_grid(-5.0, 5.0, 401)
-    if s0_kind == "free":
-        s0 = np.asarray(free_principal_function(0.5, constants)(grid.x, 0.0))
-    else:
-        s0 = np.zeros(grid.n_points)
-    full = principal_function_from_characteristics(
-        potential, s0, grid, dt, n_steps, constants
-    )
-    strided = principal_function_from_characteristics(
-        potential, s0, grid, dt, n_steps, constants, store_every=store_every
-    )
-    rows = slice(None, None, store_every)
-    assert np.array_equal(strided.s, full.s[rows], equal_nan=True)
-    assert np.array_equal(strided.validity_mask, full.validity_mask[rows])
-    assert np.array_equal(strided.times, full.times[rows])
-    assert strided.first_masked_step == full.first_masked_step == _first_masked(full)
-    if s0_kind == "zero":
-        # the crossing at t = pi/2 falls between stored slices
-        assert full.first_masked_step == 158
+        assert not mask_ref[-1].any()  # the run does go past the caustic
+    assert np.array_equal(steps, np.arange(n_steps + 1))
+    assert np.array_equal(s, s_ref, equal_nan=True)
+    assert np.array_equal(valid, mask_ref)
 
 
 def test_an_empty_fan_before_the_crossing_is_the_first_masked_step(constants):
@@ -213,38 +179,108 @@ def test_an_empty_fan_before_the_crossing_is_the_first_masked_step(constants):
     # +-1/3 at t = acos(1/3) = 1.23, before the crossing at pi/2
     grid = build_grid(-1.0, 1.0, 4)
     dt, n_steps = 1e-2, 200
-    args = (HarmonicPotential(1.0), np.zeros(4), grid, dt, n_steps, constants)
-    full = principal_function_from_characteristics(*args)
-    first = full.first_masked_step
-    assert first == _first_masked(full)
+    steps, s, valid = _field(HarmonicPotential(1.0), np.zeros(4), grid, dt, n_steps, constants)
+    first = int(np.argmin(valid.any(axis=1)))
     assert abs(first * dt - math.acos(1.0 / 3.0)) <= dt
-    assert not full.validity_mask[first:].any()
-    strided = principal_function_from_characteristics(*args, store_every=100)
-    assert strided.first_masked_step == first
-    assert np.array_equal(strided.validity_mask, full.validity_mask[::100])
+    assert first * dt < math.pi / 2.0 - dt
+    assert not valid[first:].any()
+    assert np.isnan(s[first:]).all()
+    assert np.array_equal(steps, np.arange(n_steps + 1))
 
 
 def test_sweep_memory_is_its_output_not_the_orbits(constants):
-    # 1601 slices x 1201 points: storing the position, momentum and action
-    # of every characteristic would triple the output's footprint
+    # 1601 slices x 1201 points: iterating the rest-release sweep holds a
+    # few slice-sized arrays at a time (the orbits' positions, momenta,
+    # forces and actions, S0, one S and its mask, their temporaries),
+    # never the (steps x points) field of 15.4 MB
     grid = build_grid(-12.0, 12.0, 1201)
+    one_slice = grid.n_points * 8
+    n_slices = 0
     tracemalloc.start()
     try:
-        field = principal_function_from_characteristics(
+        for _ in principal_function_slices(
             HarmonicPotential(1.0), np.zeros(grid.n_points), grid, 1e-3, 1600, constants
-        )
+        ):
+            n_slices += 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * (field.s.nbytes + field.validity_mask.nbytes)
+    assert n_slices == 1601
+    assert peak < 20 * one_slice
+
+
+def _sweep_in_oscillator_units(constants, omega, s0_energy):
+    """The rest-release (s0_energy None) or free-s0 sweep in the well
+    omega, on [-5L, 5L] with L = sqrt(hbar / m omega), 200 steps of
+    dt = 0.01 / omega, S0 launched at energy s0_energy hbar omega; S is
+    yielded in units of m omega L^2 (= hbar)."""
+    length = math.sqrt(constants.hbar / (constants.mass * omega))
+    grid = build_grid(-5.0 * length, 5.0 * length, 401)
+    if s0_energy is None:
+        s0 = np.zeros(grid.n_points)
+    else:
+        s_fn = free_principal_function(s0_energy * constants.hbar * omega, constants)
+        s0 = np.asarray(s_fn(grid.x, 0.0))
+    action = constants.mass * omega * length**2
+    slices = principal_function_slices(
+        HarmonicPotential(omega), s0, grid, 1e-2 / omega, 200, constants
+    )
+    for k, s, valid in slices:
+        yield k, s / action, valid
+
+
+def _scaling_gap(s0_energy):
+    """(largest |S| difference over valid points, masks identical, caustic
+    steps) between the sweep at (hbar, m, omega) = (0.37, 2.9, 1.7) and at
+    unit constants, both in oscillator units."""
+    scaled = _sweep_in_oscillator_units(PhysicalConstants(0.37, 2.9), 1.7, s0_energy)
+    unit = _sweep_in_oscillator_units(PhysicalConstants(), 1.0, s0_energy)
+    worst, same_masks, caustics = 0.0, True, [None, None]
+    for (k, s, valid), (_, s_unit, valid_unit) in zip(scaled, unit):
+        same_masks = same_masks and np.array_equal(valid, valid_unit)
+        both = valid & valid_unit
+        if both.any():
+            worst = max(worst, float(np.max(np.abs(s[both] - s_unit[both]))))
+        for i, v in enumerate((valid, valid_unit)):
+            if caustics[i] is None and not v.any():
+                caustics[i] = k
+    return worst, same_masks, caustics
+
+
+# the two sweeps differ only by the rounding of L, dt / omega and the
+# unit of action: measured 1.5e-14, with |S| up to ~10
+_SCALING_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize("s0_energy", [None, 0.5], ids=["rest-release", "free-s0"])
+def test_the_sweep_scales_with_hbar_m_omega(s0_energy):
+    worst, same_masks, caustics = _scaling_gap(s0_energy)
+    assert worst <= _SCALING_TOLERANCE
+    assert same_masks
+    # x(t) = x0 cos t + (p0 / m omega) sin t: every fan focuses at t = pi/2
+    assert caustics == [158, 158]
+
+
+@pytest.mark.parametrize("s0_energy", [None, 0.5], ids=["rest-release", "free-s0"])
+def test_sweep_scaling_catches_a_dropped_mass(monkeypatch, s0_energy):
+    # planted defect: the position update moves by p dt, not p dt / m
+    def mass_dropped(potential, x, p, force, dt, constants):
+        p_half = p + 0.5 * dt * force
+        x = x + dt * p_half
+        force = potential.force(x, constants)
+        return x, p_half + 0.5 * dt * force, force
+
+    monkeypatch.setattr(qclab.hamilton_jacobi, "verlet_step", mass_dropped)
+    worst, same_masks, _ = _scaling_gap(s0_energy)
+    assert worst > _SCALING_TOLERANCE or not same_masks
 
 
 def test_characteristics_validate_s0_shape(constants):
+    # on the call, before any slice is asked for; run arguments are
+    # checked alike in test_grids.py
     grid = build_grid(-1.0, 1.0, 11)
     with pytest.raises(ValueError, match="grid"):
-        principal_function_from_characteristics(
-            FreePotential(), np.zeros(7), grid, 0.1, 3, constants
-        )
+        principal_function_slices(FreePotential(), np.zeros(7), grid, 0.1, 3, constants)
 
 
 def test_trajectory_field_consistency():

@@ -18,16 +18,15 @@ import qclab
 from qclab import (
     ConfigError,
     FreePotential,
-    PrincipalFunctionField,
     build_grid,
     evolve,
     free_principal_function,
     make_context,
-    principal_function_from_characteristics,
     verification,
 )
 from qclab.cli import main
 from qclab.config import RunConfig
+from qclab.hamilton_jacobi import principal_function_slices
 from qclab.verification import CHECKS, CRITERIA, VerifyContext, run_verify_all
 
 DEFAULTS = {name: tolerance for name, (tolerance, _, _) in CHECKS.items()}
@@ -287,41 +286,46 @@ def _traced(compute):
 
 
 def test_the_characteristics_scenario_keeps_the_caustic_sweep_small(warm_context):
-    # the free-motion field (101 x 4001) and its check's temporaries; the
-    # 1601 x 2401 rest-release sweep would take 34.6 MB on its own
+    # both sweeps are read slice by slice: below one 101 x 4001 free
+    # field, which the stored sweep held along with its mask
     free_field = 101 * 4001 * 8
     _, peak = _traced(lambda: verification.criterion_characteristics(warm_context))
-    assert peak < 5 * free_field  # 16.2 MB
+    assert peak < free_field  # 3.23 MB
 
 
 def test_the_free_characteristics_check_builds_no_field(warm_context):
     grid = warm_context.wide_grid
     s_fn = free_principal_function(0.5, warm_context.constants)
-    field = principal_function_from_characteristics(
+    slices = list(principal_function_slices(
         FreePotential(), s_fn(grid.x, 0.0), grid, 1e-3, 100, warm_context.constants
-    )
+    ))
     _, peak = _traced(
-        lambda: verification.free_characteristics_check(warm_context, field, s_fn, "")
+        lambda: verification.free_characteristics_check(
+            warm_context, slices, grid, 1e-3, s_fn, ""
+        )
     )
     # the closed form, the difference or a masked copy over the whole
     # field would each take 101 x 4001 x 8 B = 3.2 MB
-    assert peak < field.s.nbytes
+    assert peak < 101 * grid.n_points * 8
 
 
 def test_the_free_characteristics_check_reads_only_valid_points(warm_context):
     grid = build_grid(-1.0, 1.0, 5)
     s_fn = free_principal_function(0.5, warm_context.constants)
-    times = np.array([0.0, 0.1])
-    exact = s_fn(grid.x[None, :], times[:, None])
-    valid = np.array([[True] * 5, [False, True, True, False, False]])
-    s = np.where(valid, exact, np.nan)
-    s[1, 2] += 3e-7
-    field = PrincipalFunctionField(s, valid, times, grid)
-    check = verification.free_characteristics_check(warm_context, field, s_fn, "")
+    dt = 0.1
+    exact = [s_fn(grid.x, k * dt) for k in range(2)]
+    valid = [np.ones(5, dtype=bool), np.array([False, True, True, False, False])]
+    s = [np.where(v, e, np.nan) for v, e in zip(valid, exact)]
+    s[1][2] += 3e-7
+    check = verification.free_characteristics_check(
+        warm_context, zip(range(2), s, valid), grid, dt, s_fn, ""
+    )
     assert check.measured == pytest.approx(3e-7, rel=1e-6) and check.passed
-    nowhere_valid = PrincipalFunctionField(s, np.zeros_like(valid), times, grid)
+    nowhere_valid = zip(range(2), s, [np.zeros(5, dtype=bool)] * 2)
     with pytest.raises(ValueError):
-        verification.free_characteristics_check(warm_context, nowhere_valid, s_fn, "")
+        verification.free_characteristics_check(
+            warm_context, nowhere_valid, grid, dt, s_fn, ""
+        )
 
 
 def test_the_ground_evolution_keeps_one_period_and_one_stride(warm_context):
