@@ -3,10 +3,14 @@
 With A = i dt/(2 hbar) H, H being the tridiagonal matrix the eigensolver
 uses, one step is psi^{k+1} = (I + A)^{-1} (I - A) psi^k.  Hard walls
 (Dirichlet) enter as identity rows at both grid ends, decoupled from the
-interior, so the walls hold zero.  I + A is factorized once per run by
-LAPACK zgttrf (from `qclab.lapack`), and each step is one zgttrs solve
-and one vector update in Cayley form, psi <- 2 (I + A)^{-1} psi - psi,
-which equals the step above in exact arithmetic since I - A = 2I - (I + A).
+interior, so the walls hold zero.  (I + A)/2 is factorized once per run
+by LAPACK zgttrf (`qclab.lapack.tridiagonal_solver`), and each step is
+one zgttrs solve and one subtraction in Cayley form,
+psi <- ((I + A)/2)^{-1} psi - psi, which equals the step above in exact
+arithmetic since I - A = 2I - (I + A).  Halving the matrix is exact, so
+the solve returns 2 (I + A)^{-1} psi bit for bit, with no doubling pass.
+The solves run without the GIL, so evolutions on different threads
+overlap.
 
 I + A is normal with eigenvalues 1 + i dt lambda/(2 hbar), all of modulus
 at least 1, so it is never singular and the step is exactly unitary in
@@ -29,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import PhysicalConstants, check_run_arguments
+from .lapack import tridiagonal_solver
 from .spectral import hamiltonian_from_values
 from .states import WaveFunction
 from .stencils import gradient
@@ -76,18 +81,15 @@ def evolve(
     grid = psi0.grid
     if potential_values.shape != (grid.n_points,):
         raise ValueError("potential_values must live on the state's grid")
-    # loaded on the first solve, so runs that never solve load no scipy
-    from .lapack import zgttrf, zgttrs
-
     hamiltonian = hamiltonian_from_values(potential_values, grid, constants)
     alpha = 1j * dt / (2.0 * constants.hbar)
     diag = 1.0 + alpha * hamiltonian.diagonal
     diag[[0, -1]] = 1.0
     off = np.full(grid.n_points - 1, alpha * hamiltonian.off_diagonal)
     off[[0, -1]] = 0.0
-    *factors, info = zgttrf(off, diag, off)
-    if info != 0:
-        raise RuntimeError(f"Crank-Nicolson factorization failed (zgttrf info {info})")
+    diag *= 0.5
+    off *= 0.5
+    solve = tridiagonal_solver(off, diag, off)
 
     def rayleigh(values: np.ndarray) -> float:
         num = np.trapezoid(
@@ -103,8 +105,7 @@ def evolve(
     v = psi0.values.astype(complex)
     v[[0, -1]] = 0.0
     for k in range(1, n_steps + 1):
-        v_next, _ = zgttrs(*factors, v)
-        v_next *= 2.0
+        v_next = solve(v.copy())
         v_next -= v
         v = v_next
         if k % store_every == 0 or k == n_steps:

@@ -1,43 +1,138 @@
-"""The four LAPACK routines qclab calls, from scipy's compiled bindings.
+"""The four LAPACK routines qclab calls, from the OpenBLAS numpy loaded.
 
 dstebz/dstein give the tridiagonal eigenpairs and zgttrf/zgttrs the
-Crank-Nicolson solves.  They come from scipy's `_flapack` extension,
-loaded from its file without running `scipy/linalg/__init__.py`.  That
-package import costs ~0.34 s and ~26 MB of peak RSS (its array-API layer
-pulls in numpy.f2py, numpy.testing, numpy.ma, numpy.random and
-numpy.polynomial), against ~0.02 s and ~3 MB for this module (2-vCPU
-Xeon VM, scipy 1.17.1), and qclab needs none of it.  `import scipy` runs
-first, for scipy's own platform set-up.  The extension is left out of sys.modules, and a later
-`import scipy.linalg` hands out the same routine objects.
+Crank-Nicolson solves.  numpy 2.x wheels bundle one OpenBLAS, built with
+64-bit integers (ILP64) and every symbol renamed `scipy_<routine>_64_`,
+and numpy.linalg's `_umath_linalg` extension links it.  `ctypes.CDLL` on
+that extension resolves the routines through its dependencies, so a
+process maps one BLAS library, the one `import numpy` already mapped,
+and imports no scipy.  Integer arguments are int64, and every character
+argument is followed by gfortran's trailing size_t length.
 
-Import this module inside the functions that solve, so that runs which
-never solve load no scipy.
+`ctypes.CDLL` functions release the GIL for the length of each call, so
+solves on different threads run in parallel.  Each solver that
+`tridiagonal_solver` returns owns its factors, arguments and info slot.
 """
-import sys
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
-from pathlib import Path
+import ctypes
 
-import scipy
+import numpy as np
+from numpy.linalg import _umath_linalg
 
-_NAME = "scipy.linalg._flapack"
+_LIBRARY = _umath_linalg.__file__
+_lib = ctypes.CDLL(_LIBRARY)
 
-_flapack = sys.modules.get(_NAME)  # already loaded by scipy.linalg itself
-if _flapack is None:
-    _directory = str(Path(scipy.__path__[0]) / "linalg")
-    _spec = FileFinder(_directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
-        _NAME
+
+def _routine(name: str, pointers: int, lengths: int):
+    symbol = f"scipy_{name}_64_"
+    try:
+        function = getattr(_lib, symbol)
+    except AttributeError:
+        raise ImportError(f"LAPACK symbol {symbol} not found in {_LIBRARY}") from None
+    function.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
+    function.restype = None
+    return function
+
+
+_dstebz = _routine("dstebz", 18, 2)
+_dstein = _routine("dstein", 13, 0)
+_zgttrf = _routine("zgttrf", 7, 0)
+_zgttrs = _routine("zgttrs", 11, 1)
+
+
+def _block(ctype, *values) -> tuple:
+    """A ctypes array of values, then a pointer to each element; each
+    pointer holds the array alive."""
+    block = (ctype * len(values))(*values)
+    size = ctypes.sizeof(ctype)
+    return (block, *(ctypes.byref(block, i * size) for i in range(len(values))))
+
+
+def _pointer(array: np.ndarray) -> ctypes.c_void_p:
+    return array.ctypes.data_as(ctypes.c_void_p)  # holds the array alive
+
+
+def _input(values, dtype, size: int, name: str) -> np.ndarray:
+    array = np.ascontiguousarray(values, dtype=dtype)
+    if array.shape != (size,):
+        raise ValueError(f"{name} must have shape ({size},), got {array.shape}")
+    return array
+
+
+def dstebz(d, e, range_, vl, vu, il, iu, abstol, order):
+    """LAPACK dstebz: eigenvalues of the symmetric tridiag(e, d, e) by bisection.
+
+    range_ ("A", "V" or "I"), order ("B" or "E") and the bounds are
+    LAPACK's.  Returns (m, w, iblock, isplit, info); w, iblock and isplit
+    have length n, and the first m entries of w and iblock are the result.
+    """
+    d = _input(d, np.float64, np.size(d), "d")
+    n = d.size
+    e = _input(e, np.float64, n - 1, "e")
+    ints, n_, il_, iu_, m_, nsplit_, info_ = _block(ctypes.c_int64, n, il, iu, 0, 0, 0)
+    _, vl_, vu_, abstol_ = _block(ctypes.c_double, vl, vu, abstol)
+    w = np.zeros(n)
+    iblock, isplit = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
+    _dstebz(
+        range_.encode(), order.encode(), n_, vl_, vu_, il_, iu_, abstol_,
+        *map(_pointer, (d, e)), m_, nsplit_,
+        *map(_pointer, (w, iblock, isplit, work, iwork)), info_, 1, 1,
     )
-    if _spec is None:
-        raise ImportError(f"scipy's LAPACK bindings (_flapack) not found in {_directory}")
-    _flapack = module_from_spec(_spec)
-    _spec.loader.exec_module(_flapack)
-    # CPython registers a single-phase extension module as it creates it;
-    # a child without its package in sys.modules would confuse a later
-    # `import scipy.linalg._flapack`, which then gets a copy of this one
-    sys.modules.pop(_NAME, None)
+    return ints[3], w, iblock, isplit, ints[5]
 
-dstebz = _flapack.dstebz
-dstein = _flapack.dstein
-zgttrf = _flapack.zgttrf
-zgttrs = _flapack.zgttrs
+
+def dstein(d, e, w, iblock, isplit):
+    """LAPACK dstein: eigenvectors of tridiag(e, d, e) for eigenvalues w
+    that dstebz returned with order "B", by inverse iteration.
+
+    Returns (z, info); column j of the (n, m) array z is the unit
+    eigenvector of w[j].
+    """
+    d = _input(d, np.float64, np.size(d), "d")
+    n = d.size
+    e = _input(e, np.float64, n - 1, "e")
+    w = _input(w, np.float64, np.size(w), "w")
+    m = w.size
+    iblock = _input(iblock, np.int64, n, "iblock")
+    isplit = _input(isplit, np.int64, n, "isplit")
+    ints, n_, m_, ldz_, info_ = _block(ctypes.c_int64, n, m, max(1, n), 0)
+    z = np.empty((n, m), order="F")
+    work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int64)
+    ifail = np.empty(m, dtype=np.int64)
+    _dstein(
+        n_, *map(_pointer, (d, e)), m_, *map(_pointer, (w, iblock, isplit, z)),
+        ldz_, *map(_pointer, (work, iwork, ifail)), info_,
+    )
+    return z, ints[3]
+
+
+def tridiagonal_solver(dl, d, du):
+    """Factor tridiag(dl, d, du) once (LAPACK zgttrf, partial pivoting) and
+    return solve(b), which overwrites the complex n-vector b with the
+    solution of tridiag(dl, d, du) x = b (zgttrs) and returns it.
+
+    The arguments of every solve are built here, once, so a solve costs
+    one foreign call.  A solver may be used from any thread, by one at a
+    time.  Raises RuntimeError if U is exactly singular.
+    """
+    # copies: zgttrf writes the factors over them
+    d = _input(d, np.complex128, np.size(d), "d").copy()
+    n = d.size
+    dl = _input(dl, np.complex128, n - 1, "dl").copy()
+    du = _input(du, np.complex128, n - 1, "du").copy()
+    du2 = np.empty(max(n - 2, 0), dtype=np.complex128)
+    ipiv = np.empty(n, dtype=np.int64)
+    ints, n_, nrhs_, ldb_, info_ = _block(ctypes.c_int64, n, 1, max(1, n), 0)
+    factors = tuple(map(_pointer, (dl, d, du, du2, ipiv)))
+    _zgttrf(n_, *factors, info_)
+    if ints[3] != 0:
+        raise RuntimeError(f"tridiagonal factorization failed (zgttrf info {ints[3]})")
+    head = (b"N", n_, nrhs_, *factors)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        if b.dtype != np.complex128 or b.shape != (n,) or not b.flags.carray:
+            raise ValueError(f"b must be a writeable contiguous complex ({n},) array")
+        _zgttrs(*head, b.ctypes.data, ldb_, info_, 1)
+        return b
+
+    return solve

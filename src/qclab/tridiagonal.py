@@ -8,7 +8,7 @@ constant off-diagonal,
 The lowest k eigenpairs come from LAPACK's dstebz (Sturm-count
 bisection, Barth-Martin-Wilkinson) and dstein (inverse iteration with
 reorthogonalization inside clusters), called through `qclab.lapack`
-with the arguments scipy.linalg.eigh_tridiagonal passes them.  Demmel,
+with the k lowest selected by index (range "I").  Demmel,
 Dhillon & Ren (ETNA 3, 1995) analyse the floating-point behaviour of
 both.  dstebz stops bisecting at an absolute width of eps |T|, so each
 eigenvalue is then replaced by the Rayleigh quotient of its
@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import lapack
 
 
 class EigensolverError(RuntimeError):
@@ -54,23 +56,16 @@ def lowest_eigenpairs(
     if not (np.all(np.isfinite(diag)) and np.isfinite(off)):
         # dstebz reports NaN or inf only as "no eigenvalues found"
         raise ValueError("tridiagonal matrix must not contain infs or NaNs")
-    if n == 1:
-        # the LAPACK wrappers reject an empty e
-        vectors, ascending = np.ones((1, 1)), np.zeros(1, dtype=int)
-    else:
-        # loaded on the first solve, so runs that never solve load no scipy
-        from .lapack import dstebz, dstein
-
-        e = np.full(n - 1, off, dtype=float)
-        # range 2: eigenvalues il = 1 .. iu = k (vl, vu unused); absolute
-        # tolerance 0 (LAPACK's default); "B": grouped by split block, the
-        # order dstein takes them in
-        m, w, iblock, isplit, info = dstebz(diag, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
-        _check_info("dstebz", info, f"bisection failed (info {info})")
-        w = w[:m]
-        vectors, info = dstein(diag, e, w, iblock, isplit)
-        _check_info("dstein", info, f"{info} eigenvectors failed to converge")
-        ascending = np.argsort(w)  # dstein's columns come in block order
+    e = np.full(n - 1, off, dtype=float)
+    # range "I": eigenvalues il = 1 .. iu = k (vl, vu unused); absolute
+    # tolerance 0 (LAPACK's default); "B": grouped by split block, the
+    # order dstein takes them in
+    m, w, iblock, isplit, info = lapack.dstebz(diag, e, "I", 0.0, 1.0, 1, k, 0.0, "B")
+    _check_info("dstebz", info, f"bisection failed (info {info})")
+    w = w[:m]
+    vectors, info = lapack.dstein(diag, e, w, iblock, isplit)
+    _check_info("dstein", info, f"{info} eigenvectors failed to converge")
+    ascending = np.argsort(w)  # dstein's columns come in block order
     values = np.array(
         [vectors[:, j] @ _apply(diag, off, vectors[:, j]) for j in ascending]
     )

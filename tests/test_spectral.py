@@ -123,7 +123,7 @@ def test_lapack_failure_raises_eigensolver_error(monkeypatch):
         vectors, _ = real_dstein(*args)
         return vectors, 1
 
-    # the solver imports dstein from qclab.lapack on each call
+    # the solver looks dstein up on qclab.lapack on each call
     monkeypatch.setattr(qclab.lapack, "dstein", failing_dstein)
     with pytest.raises(EigensolverError, match="1 eigenvectors failed"):
         lowest_eigenpairs(np.arange(5.0), 1.0, 2)
@@ -141,7 +141,7 @@ def test_non_finite_entries_are_rejected_before_lapack(bad):
 
 
 def test_single_interior_point_is_its_own_eigenpair(constants):
-    # the LAPACK wrappers reject the empty off-diagonal of a 1x1 matrix
+    # a 1x1 matrix reaches LAPACK with an empty off-diagonal
     grid = build_grid(-1.0, 1.0, 3)
     h = assemble_hamiltonian(HarmonicPotential(1.0), grid, constants)
     (pair,) = solve_lowest_eigenpairs(h, 1)

@@ -137,10 +137,11 @@ def test_threaded_run_evolves_each_state_once(threaded_run):
     assert sum(calls) == 17_287
 
 
-def test_pool_has_two_workers_and_starts_after_scipy_loads():
+def test_pool_has_two_workers_and_starts_after_lapack_loads():
     # a fresh interpreter, so no scipy is loaded by earlier tests; the
-    # first submit records the pool size and what is loaded (the LAPACK
-    # bindings import scipy, but not scipy.linalg), then stops the run
+    # LAPACK bindings load with qclab.verification, and import no scipy;
+    # the first submit records the pool size and what is loaded, then
+    # stops the run
     src = Path(qclab.__file__).resolve().parent.parent
     code = f"""
 import sys
@@ -149,7 +150,8 @@ from concurrent.futures import ThreadPoolExecutor
 from qclab.verification import run_verify_all
 
 def loaded():
-    return "qclab.lapack" in sys.modules, "scipy.linalg" in sys.modules
+    scipy = any(name.startswith("scipy") for name in sys.modules)
+    return "qclab.lapack" in sys.modules, scipy
 
 class Stop(Exception):
     pass
@@ -168,7 +170,7 @@ except Stop:
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["False False", "2 True False"]
+    assert out.splitlines() == ["True False", "2 True False"]
 
 
 def test_worker_error_exits_2_with_one_line_and_no_thread_left(
@@ -264,6 +266,23 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fa
     assert isinstance(outcomes[0], RuntimeError) == fails
 
 
+def test_a_packet_off_the_orbit_steps_fails_the_ehrenfest_check(monkeypatch):
+    # the packet alone takes dt x (1 + 1e-3); its slices then sit at
+    # other times than the orbit's steps, which the check must catch
+    # rather than index the orbit past its end
+    real_evolve = verification.evolve
+
+    def stretched_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        if n_steps == 6283:
+            dt *= 1.0 + 1e-3
+        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve", stretched_evolve)
+    (check,) = verification.criterion_ehrenfest(make_context())
+    assert check.name == "ehrenfest_position_deviation"
+    assert not check.passed and check.measured > 1e-3
+
+
 # --- memory: each scenario holds only what its checks read --------------------
 
 
@@ -350,8 +369,7 @@ def test_the_packet_intermediate_is_its_positions():
     # the 316 stored slices take 316 x 2401 x 16 B = 12.1 MB while evolving
     held, _ = _traced(lambda: ctx.packet_positions)
     assert held < 1e6
-    times, positions = ctx.packet_positions
-    assert times.shape == positions.shape == (316,)
+    assert ctx.packet_positions.shape == (316,)
 
 
 # --- the phase-action gap on nodal eigenstates ---------------------------------
