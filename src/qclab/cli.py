@@ -6,7 +6,8 @@ defaults come from the config schema), writes machine-readable artifacts
 and returns its report metadata and checks.  main turns those into the
 `report.json` check report, named after the subcommand, and prints one
 [PASS]/[FAIL] line per check.  Every check's default tolerance,
-comparator and identity come from verification.CHECKS.
+comparator and identity come from report.CHECKS.  Each subcommand
+imports the layers it runs when it starts, so a process loads only those.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error.  Identical config and seed give byte-identical reports up
@@ -33,54 +34,19 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .ensemble import (
-    EnsembleSpec,
-    WeightingFunction,
-    build_superposition,
-    compare_energy_statistics,
-    energy_distribution,
-    nearest_level_counts,
-    project,
-    run_classical_ensemble,
-)
-from .evolution import Observable, evolve, expectation
 from .grids import Grid1D, check_run_arguments
-from .hamilton_jacobi import (
-    free_principal_function,
-    integrate_hamilton,
-    principal_function_slices,
-)
-from .madelung import (
-    decompose,
-    quantum_potential,
-    recompose,
-    total_potential,
-    verify_1d_amplitude_relation,
-    verify_modified_hj,
-    verify_oscillator_identity,
-)
-from .potentials import HarmonicPotential
-from .report import CheckResult, VerificationReport
-from .spectral import (
-    EigenPair,
-    assemble_hamiltonian,
-    solve_lowest_eigenpairs,
-)
-from .states import WaveFunction, gaussian_packet, harmonic_eigenfunction, plane_wave
-from .verification import (
-    VerifyContext,
-    free_characteristics_check,
-    inertial_checks,
-    make_context,
-    phase_action_gap_check,
-    run_verify_all,
-)
+from .report import CheckContext, CheckResult, VerificationReport
+
+if TYPE_CHECKING:
+    from .states import EigenPair, WaveFunction
 
 
 _CHUNK_ROWS = 4096  # rows formatted and written at a time
@@ -140,6 +106,8 @@ def _write_json(path: Path, payload) -> None:
 
 def _load_wavefunction_csv(path: Path, grid: Grid1D) -> WaveFunction:
     """Read (x, re, im) rows; the x column must match the run grid."""
+    from .states import WaveFunction
+
     if not path.exists():
         raise ConfigError(f"wavefunction csv does not exist: {path}")
     data = np.genfromtxt(path, delimiter=",", names=True)
@@ -182,6 +150,8 @@ def _plane_wave_energy(config: RunConfig, key: str) -> float | None:
 
 
 def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
+    from .spectral import assemble_hamiltonian, solve_lowest_eigenpairs
+
     h = assemble_hamiltonian(config.potential, config.grid, config.constants)
     return solve_lowest_eigenpairs(h, k)
 
@@ -190,7 +160,7 @@ def _solve_pairs(config: RunConfig, k: int) -> list[EigenPair]:
 # subcommands
 
 
-def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_eigen(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
     k = config.get("eigen.k")
     if k <= 0:
         raise ConfigError(f"eigen.k must be >= 1, got {k}")
@@ -215,6 +185,8 @@ def _cmd_eigen(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
 
 
 def _initial_state(config: RunConfig) -> WaveFunction:
+    from .states import gaussian_packet
+
     kind = config.get("evolve.state").lower()
     grid, constants = config.grid, config.constants
     if kind == "gaussian":
@@ -238,7 +210,9 @@ def _initial_state(config: RunConfig) -> WaveFunction:
     raise ConfigError(f"unknown evolve.state {kind!r}")
 
 
-def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_evolve(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
+    from .evolution import Observable, evolve, expectation
+
     grid, constants = config.grid, config.constants
     v = config.potential.on_grid(grid, constants)
     psi0 = _initial_state(config)
@@ -275,7 +249,10 @@ def _cmd_evolve(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     ]
 
 
-def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_madelung(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
+    from . import madelung
+    from .states import EigenPair, harmonic_eigenfunction, plane_wave
+
     grid, constants = config.grid, config.constants
     kind = config.get("madelung.state")
     if kind is None:
@@ -302,14 +279,14 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     else:
         raise ConfigError(f"unknown madelung.state {kind!r}")
 
-    polar = decompose(psi, constants)
+    polar = madelung.decompose(psi, constants)
     v = config.potential.on_grid(grid, constants)
-    v_q = quantum_potential(polar, constants)
-    v_t = total_potential(v_q, v)
+    v_q = madelung.quantum_potential(polar, constants)
+    v_t = madelung.total_potential(v_q, v)
     # every number is computed before the first file is written
     if not np.isfinite(v_q).any():
         raise ValueError("V_q has no finite point: every grid point is on or beside a node")
-    roundtrip = recompose(polar, constants)
+    roundtrip = madelung.recompose(polar, constants)
     # compare up to the (physically irrelevant) global phase freeze at
     # masked points: direct difference where the input was unmasked
     diff = np.abs(roundtrip.values[~polar.node_mask] - psi.values[~polar.node_mask])
@@ -320,19 +297,19 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
         "node_count": int(np.sum(polar.node_mask)),
         "v_q_peak": float(np.nanmax(np.abs(v_q))),
     }
-    relation = verify_1d_amplitude_relation(polar, constants)
+    relation = madelung.verify_1d_amplitude_relation(polar, constants)
     summary["amplitude_relation"] = {
         "vacuous": relation.vacuous,
         "deviation": None if relation.vacuous else float(relation.deviation),
     }
     if energy is not None:
         summary["modified_hj_residual"] = float(
-            verify_modified_hj(psi, v, energy, constants)
+            madelung.verify_modified_hj(psi, v, energy, constants)
         )
         summary["energy"] = energy
     if oscillator_index is not None:
         pair = EigenPair(energy=energy, state=psi, index=oscillator_index)
-        summary["oscillator_identity_residual"] = verify_oscillator_identity(
+        summary["oscillator_identity_residual"] = madelung.verify_oscillator_identity(
             oscillator_index, pair, config.get("potential.omega"), constants
         )
     checks = [ctx.check("polar_roundtrip_error", roundtrip_err)]
@@ -363,7 +340,14 @@ def _cmd_madelung(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     return summary, checks
 
 
-def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_hj(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
+    from .hamilton_jacobi import (
+        free_characteristics_deviation,
+        free_principal_function,
+        integrate_hamilton,
+        principal_function_slices,
+    )
+
     grid, constants = config.grid, config.constants
     potential = config.potential
     dt = config.get("hj.dt")
@@ -426,15 +410,21 @@ def _cmd_hj(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
 
     slices = written(principal_function_slices(potential, s0, grid, dt, n_steps, constants))
     if s0_kind == "free" and config.get("potential.kind") == "free":
+        deviation = free_characteristics_deviation(slices, grid, dt, s_fn)
         detail = f"{n_steps} steps, dt={dt}"
-        checks.append(free_characteristics_check(ctx, slices, grid, dt, s_fn, detail))
+        checks.append(ctx.check("characteristics_free_error", deviation, detail))
     else:
         for _ in slices:
             pass
     return metadata, checks
 
 
-def _cmd_hj_compare(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_hj_compare(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
+    from .evolution import evolve
+    from .potentials import HarmonicPotential
+    from .spectral import assemble_hamiltonian, solve_lowest_eigenpairs
+    from .verification import inertial_checks, phase_action_gap_check
+
     scenario = config.get("compare.scenario").lower()
     grid, constants = config.grid, config.constants
     metadata: dict = {"comparison": scenario}
@@ -475,7 +465,9 @@ def _parse_coefficients(text: str) -> np.ndarray:
     return np.array(values, dtype=complex)
 
 
-def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_superpose(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
+    from .ensemble import WeightingFunction, build_superposition, energy_distribution, project
+
     raw = config.get("superpose.coefficients")
     if not raw:
         raise ConfigError("superpose needs superpose.coefficients (comma-separated)")
@@ -507,7 +499,9 @@ def _cmd_superpose(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     ]
 
 
-def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
+def _cmd_ensemble(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
+    from . import ensemble
+
     grid, constants = config.grid, config.constants
     k = config.get("ensemble.k")
     if k <= 0:
@@ -527,12 +521,12 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
     pairs = _solve_pairs(config, k)
     energies = np.array([pair.energy for pair in pairs])
     raw = np.exp(-((energies - mean) ** 2) / (2.0 * sigma**2))
-    weights = WeightingFunction(np.sqrt(raw / raw.sum()).astype(complex))
-    quantum = energy_distribution(weights, pairs)
+    weights = ensemble.WeightingFunction(np.sqrt(raw / raw.sum()).astype(complex))
+    quantum = ensemble.energy_distribution(weights, pairs)
     probabilities = np.abs(weights.coefficients) ** 2
 
-    spec = EnsembleSpec(energies, probabilities, n_samples, config.seed)
-    result = run_classical_ensemble(
+    spec = ensemble.EnsembleSpec(energies, probabilities, n_samples, config.seed)
+    result = ensemble.run_classical_ensemble(
         spec, config.potential, grid, dt, n_steps, constants, store_every=store_every
     )
 
@@ -547,8 +541,8 @@ def _cmd_ensemble(config: RunConfig, ctx: VerifyContext, out: Path) -> Outcome:
         )
     _write_columns(out / "sample_energies.csv", ["sample_energy"], result.sample_energies)
 
-    tv = compare_energy_statistics(quantum, result.sample_energies)
-    counts = nearest_level_counts(energies, result.sample_energies)
+    tv = ensemble.compare_energy_statistics(quantum, result.sample_energies)
+    counts = ensemble.nearest_level_counts(energies, result.sample_energies)
     comparison = {
         "tv_distance": float(tv),
         "n_samples": spec.n_samples,
@@ -619,10 +613,12 @@ def main(argv=None) -> int:
             config.values["run.seed"] = args.seed
         if config.seed < 0:
             raise ConfigError(f"run.seed must be >= 0, got {config.seed}")
-        ctx = make_context(config, args.tolerance_scale)
+        ctx = CheckContext.from_config(config, args.tolerance_scale)
         out = args.out if args.out is not None else Path(f"out-{args.subcommand}")
         out.mkdir(parents=True, exist_ok=True)
         if args.subcommand == "verify-all":
+            from .verification import run_verify_all
+
             report = run_verify_all(config, tolerance_scale=args.tolerance_scale)
         else:
             metadata, checks = _SUBCOMMANDS[args.subcommand](config, ctx, out)
@@ -637,8 +633,12 @@ def main(argv=None) -> int:
         # spectral residual gate, a non-finite Crank-Nicolson step
         print(f"qclab: {exc}", file=sys.stderr)
         return 2
-    for line in report.summary_lines():
-        print(line)
+    try:
+        print("\n".join(report.summary_lines()), flush=True)
+    except BrokenPipeError:
+        # the reader is gone, and report.json holds the verdict; stdout goes
+        # to /dev/null so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

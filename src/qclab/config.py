@@ -6,8 +6,8 @@ in the schema below, which also holds its default — unknown or duplicate
 keys are errors with line diagnostics, as are values that fail to parse
 at the declared type and non-finite float values.
 `tolerance.<check-name>` keys are accepted wholesale (floats); the
-check names themselves are validated by the verification layer, which
-owns the check table (verification.CHECKS).
+check names themselves are validated by the report layer, which owns
+the check table (report.CHECKS).
 
 Example::
 

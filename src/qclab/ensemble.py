@@ -25,8 +25,7 @@ import numpy as np
 from .grids import Grid1D, PhysicalConstants, check_run_arguments
 from .hamilton_jacobi import verlet_step
 from .potentials import Potential
-from .spectral import EigenPair
-from .states import WaveFunction
+from .states import EigenPair, WaveFunction
 
 RNG_ALGORITHM = "philox4x64(numpy.random.Philox)"
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -188,3 +188,21 @@ def principal_function_slices(
             yield k, np.full(grid.n_points, np.nan), np.zeros(grid.n_points, dtype=bool)
 
     return sweep()
+
+
+def free_characteristics_deviation(
+    slices: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    grid: Grid1D,
+    dt: float,
+    s_fn: Callable[[Scalar, Scalar], Scalar],
+) -> float:
+    """Largest |S - s_fn(x, step * dt)| over the valid points of slices
+    (step, S, valid) as principal_function_slices yields them, read one at
+    a time so no field is built; ValueError if no slice has a valid point."""
+    x = grid.x
+    deviations = [
+        np.max(np.abs(s[valid] - s_fn(x[valid], k * dt)))
+        for k, s, valid in slices
+        if valid.any()
+    ]
+    return float(np.max(deviations))

@@ -33,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
-from .spectral import EigenPair
-from .states import WaveFunction
+from .states import EigenPair, WaveFunction
 from .stencils import gradient, second_derivative
 
 NODE_THRESHOLD = 1e-6  # relative to max lambda

@@ -25,7 +25,7 @@ import numpy as np
 
 from .grids import Grid1D, PhysicalConstants
 from .potentials import Potential
-from .states import WaveFunction
+from .states import EigenPair, WaveFunction
 from .tridiagonal import lowest_eigenpairs
 
 _EDGE_DECAY_TOL = 1e-10
@@ -70,13 +70,6 @@ def assemble_hamiltonian(
 ) -> HamiltonianMatrix:
     v = potential.on_grid(grid, constants)
     return hamiltonian_from_values(v, grid, constants)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    energy: float
-    state: WaveFunction
-    index: int
 
 
 def solve_lowest_eigenpairs(

@@ -1,4 +1,4 @@
-"""Complex wavefunctions on a grid plus a few ready-made initial states."""
+"""Complex wavefunctions and eigenpairs on a grid, and ready-made initial states."""
 from __future__ import annotations
 
 import math
@@ -45,6 +45,13 @@ class WaveFunction:
         if n == 0.0:
             raise ValueError("cannot normalize the zero wavefunction")
         return WaveFunction(self.values / n, self.grid, self.time)
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    energy: float
+    state: WaveFunction
+    index: int
 
 
 def plane_wave(

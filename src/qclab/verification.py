@@ -22,8 +22,8 @@ only the RNG seed and tolerance overrides).  The scenarios:
   rerun-determinism           seeded draws reproduce bitwise
 
 Checks compare a measured number against a tolerance with an explicit
-direction; CHECKS declares each check once: its default tolerance, its
-comparator and the identity it exercises.
+direction; report.CHECKS declares each check once, and VerifyContext
+extends report.CheckContext, which holds the run's tolerances.
 
 verify-all runs the scenarios one after another, in CRITERIA order, on
 the calling thread, so checks and report rows keep that order.  That
@@ -40,15 +40,15 @@ wait for a prefetched evolution; the evolutions' inputs are in no entry.
 """
 from __future__ import annotations
 
-import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .ensemble import (
     RNG_ALGORITHM,
     EnsembleSpec,
@@ -63,6 +63,7 @@ from .ensemble import (
 from .evolution import EvolutionResult, Observable, evolve, expectation
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
+    free_characteristics_deviation,
     free_principal_function,
     integrate_hamilton,
     principal_function_slices,
@@ -80,7 +81,7 @@ from .potentials import (
     HarmonicPotential,
     SmoothBarrierPotential,
 )
-from .report import CheckResult, VerificationReport, check_against
+from .report import CheckContext, CheckResult, VerificationReport
 from .spectral import (
     assemble_hamiltonian,
     solve_lowest_eigenpairs,
@@ -95,110 +96,6 @@ from .states import (
 )
 from .stencils import gradient
 
-# name -> (default tolerance, comparator, the identity the check exercises).
-# "<=" budgets cap the measured value, ">=" thresholds floor it.  The
-# subcommand-level checks share the table, so one override mechanism
-# covers everything.
-CHECKS: dict[str, tuple[float, str, str]] = {
-    "inertial_phase_vs_action": (
-        1e-10,
-        "<=",
-        "free-motion phase equals the Hamilton principal function -Et + x sqrt(2mE) "
-        "up to a constant",
-    ),
-    "inertial_quantum_potential": (
-        1e-8, "<=", "constant modulus makes the quantum potential vanish"
-    ),
-    "harmonic_level_error": (1e-4, "<=", "harmonic levels are (n+1/2) hbar omega"),
-    "harmonic_refinement_gain": (
-        3.5, ">=", "halving dx shrinks the ground-level error at second order"
-    ),
-    "oscillator_identity_residual": (
-        1e-3, "<=", "lambda_n'' + (2m/hbar^2)[(n+1/2)hbar w - m w^2 x^2/2] lambda_n = 0"
-    ),
-    "effective_potential_constancy": (
-        1e-3, "<=", "V + V_q equals E_n pointwise on harmonic eigenstates"
-    ),
-    "phase_action_gap_vs_vq": (
-        2e-3,
-        "<=",
-        "classical HJ residual of the quantum phase equals -V_q: the entire gap "
-        "between S and Phi",
-    ),
-    "phase_equation_residual": (
-        1e-3, "<=", "(grad Phi)^2/2m + V + V_q + dPhi/dt = 0 along the evolution"
-    ),
-    "continuity_equation_residual": (
-        1e-3, "<=", "lap Phi + 2 grad Phi grad ln lambda + 2m d ln lambda/dt = 0"
-    ),
-    "residual_convergence_order": (
-        1.7, ">=", "both residuals shrink at second order under dx, dt refinement"
-    ),
-    "amplitude_relation_deviation": (
-        1e-2,
-        "<=",
-        "stationary 1D states obey lambda = (dPhi/dx)^(-1/2) up to one global factor",
-    ),
-    "current_crosscheck_deviation": (
-        1e-3,
-        "<=",
-        "lambda^2 dPhi/dx agrees with m times the probability current computed "
-        "directly from psi",
-    ),
-    "norm_drift": (1e-10, "<=", "Crank-Nicolson conserves the discrete norm"),
-    "stationary_overlap": (
-        1.0 - 1e-6, ">=", "an eigenstate returns to itself (up to phase) after a period"
-    ),
-    "ehrenfest_position_deviation": (
-        1e-3,
-        "<=",
-        "<x>(t) of a packet in the harmonic well follows the classical trajectory "
-        "exactly (quadratic potential)",
-    ),
-    "weight_invariance": (
-        1e-8,
-        "<=",
-        "unitary evolution freezes every |c_n|: superpositions carry a fixed energy "
-        "distribution",
-    ),
-    "ensemble_tv_matched": (
-        0.01,
-        "<=",
-        "a classical ensemble drawn from |c_n|^2 reproduces the quantum energy "
-        "statistics",
-    ),
-    "ensemble_tv_mismatched": (
-        0.1,
-        ">=",
-        "a mismatched hidden-parameter distribution is flagged by the same comparison",
-    ),
-    "characteristics_free_error": (
-        1e-6, "<=", "method of characteristics reproduces the free closed-form S"
-    ),
-    "caustic_time_error_steps": (
-        1.0, "<=", "rest-released harmonic characteristics focus at a quarter period"
-    ),
-    "rerun_sampling_mismatch": (
-        0.0, "<=", "a fixed seed reproduces every draw bitwise"
-    ),
-    "eigenbasis_orthonormality": (
-        1e-10, "<=", "eigenstates are orthonormal under the trapezoid inner product"
-    ),
-    "energy_drift": (
-        1e-9, "<=", "the Cayley stepper commutes with H: <H> is a constant of motion"
-    ),
-    "polar_roundtrip_error": (1e-12, "<=", "lambda e^{i phi / hbar} reproduces psi"),
-    "trajectory_energy_drift": (
-        1e-5, "<=", "the Stoermer-Verlet trajectory conserves the Hamiltonian"
-    ),
-    "superposition_norm_error": (
-        1e-10, "<=", "unit weights over an orthonormal basis give a unit-norm state"
-    ),
-    "weight_roundtrip_error": (
-        1e-10, "<=", "projection onto the basis recovers the coefficients"
-    ),
-}
-
 _OMEGA = 1.0
 _PERIOD = 2.0 * np.pi / _OMEGA
 _DT = 1e-3
@@ -209,7 +106,7 @@ _GROUND_STRIDE = 61  # steps between stored ground-evolution slices
 
 
 @dataclass
-class VerifyContext:
+class VerifyContext(CheckContext):
     """Tolerances, seed, and lazily shared heavy intermediates.
 
     The eigensolve and the three Crank-Nicolson evolutions are computed
@@ -218,20 +115,7 @@ class VerifyContext:
     prefetch has handed to a pool: reading it waits for that run.
     """
 
-    constants: PhysicalConstants
-    tolerances: dict[str, float]
-    seed: int
     _futures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def check(self, name: str, measured: float, detail: str = "") -> CheckResult:
-        """The named check against this context's tolerance; the comparator
-        and the identity come from CHECKS."""
-        if name not in self.tolerances:
-            raise KeyError(f"no tolerance registered for check {name!r}")
-        _, comparator, identity = CHECKS[name]
-        return check_against(
-            name, measured, self.tolerances[name], identity, comparator, detail
-        )
 
     @cached_property
     def wide_grid(self) -> Grid1D:
@@ -346,7 +230,7 @@ class VerifyContext:
 
 
 def inertial_checks(
-    ctx: VerifyContext, grid: Grid1D, energy: float, detail: str
+    ctx: CheckContext, grid: Grid1D, energy: float, detail: str
 ) -> tuple[float, list[CheckResult]]:
     """Free plane wave of energy E: phase against -Et + x sqrt(2mE), flat V_q.
 
@@ -368,7 +252,7 @@ def inertial_checks(
 
 
 def phase_action_gap_check(
-    ctx: VerifyContext,
+    ctx: CheckContext,
     slices: Sequence[WaveFunction],
     potential_values: np.ndarray,
     detail: str,
@@ -379,30 +263,6 @@ def phase_action_gap_check(
     return ctx.check(
         "phase_action_gap_vs_vq", float(np.nanmax(np.abs(r_phase[0]))), detail
     )
-
-
-def free_characteristics_check(
-    ctx: VerifyContext,
-    slices: Iterable[tuple[int, np.ndarray, np.ndarray]],
-    grid: Grid1D,
-    dt: float,
-    s_fn,
-    detail: str,
-) -> CheckResult:
-    """Largest deviation of characteristics slices (step, S, valid), as
-    principal_function_slices yields them, from the closed-form free
-    principal function s_fn(x, step * dt) over their valid points.
-
-    The slices are read one at a time, so no field is built.  Slices
-    with no valid point at all raise ValueError.
-    """
-    x = grid.x
-    deviations = [
-        np.max(np.abs(s[valid] - s_fn(x[valid], k * dt)))
-        for k, s, valid in slices
-        if valid.any()
-    ]
-    return ctx.check("characteristics_free_error", float(np.max(deviations)), detail)
 
 
 def criterion_inertial(ctx: VerifyContext) -> list[CheckResult]:
@@ -622,7 +482,8 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
     free = principal_function_slices(
         FreePotential(), s_fn(grid.x, 0.0), grid, _DT, 100, ctx.constants
     )
-    free_check = free_characteristics_check(ctx, free, grid, _DT, s_fn, "100 steps, dt=1e-3")
+    deviation = free_characteristics_deviation(free, grid, _DT, s_fn)
+    free_check = ctx.check("characteristics_free_error", deviation, "100 steps, dt=1e-3")
 
     grid_h = ctx.harmonic_grid
     rest = principal_function_slices(
@@ -677,30 +538,10 @@ CRITERIA: list[tuple[str, object]] = [
 def make_context(
     config: RunConfig | None = None, tolerance_scale: float = 1.0
 ) -> VerifyContext:
-    """Context with defaults, overrides, and the scale factor applied.
-
-    Overrides must name known checks; the scale multiplies "<=" budgets
-    only (">=" thresholds have no single sensible scaling direction).
-    """
-    if not (0.0 < tolerance_scale < math.inf):
-        raise ConfigError(
-            f"tolerance scale must be positive and finite, got {tolerance_scale}"
-        )
+    """Context with defaults, overrides, and the scale factor applied, at
+    hbar = m = 1 whatever the config's constants (CheckContext.from_config)."""
     config = config if config is not None else RunConfig()
-    tolerances = {name: tolerance for name, (tolerance, _, _) in CHECKS.items()}
-    for name, value in config.tolerance_overrides.items():
-        if name not in tolerances:
-            raise ConfigError(f"unknown tolerance override {name!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"tolerance override {name!r} must be finite, got {value}")
-        if value <= 0.0 and name != "rerun_sampling_mismatch":
-            raise ConfigError(f"tolerance override {name!r} must be positive")
-        tolerances[name] = value
-    if tolerance_scale != 1.0:
-        for name in tolerances:
-            if CHECKS[name][1] == "<=":
-                tolerances[name] *= tolerance_scale
-    return VerifyContext(PhysicalConstants(), tolerances, config.seed)
+    return VerifyContext.from_config(config, tolerance_scale, PhysicalConstants())
 
 
 def run_verify_all(
@@ -713,9 +554,6 @@ def run_verify_all(
     scenarios in CRITERIA order with every other intermediate computed
     lazily on it; a scenario that reads an evolution waits for it.
     """
-    # deferred: `import qclab.cli` does not need the pool machinery
-    from concurrent.futures import ThreadPoolExecutor
-
     ctx = make_context(config, tolerance_scale)
     report = VerificationReport(
         scenario="verify-all",

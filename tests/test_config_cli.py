@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -598,6 +599,53 @@ def test_hj_compare_harmonic_ground_scenario(tmp_path):
     ]
     assert report["metadata"]["ground_energy"] == pytest.approx(0.5, abs=1e-4)
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize(
+    "scenario, keys",
+    [("free", "hj.energy = 0.5\n"), ("harmonic-ground", SMALL_HARMONIC)],
+    ids=["free", "harmonic-ground"],
+)
+def test_hj_compare_measures_at_the_configured_hbar_and_mass(tmp_path, scenario, keys):
+    # verify-all is pinned at hbar = m = 1; hj-compare takes the config's
+    hbar, mass = 0.5, 2.0
+    cfg = _write(
+        tmp_path,
+        f"{keys}constants.hbar = {hbar}\nconstants.mass = {mass}\n"
+        f"compare.scenario = {scenario}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["hj-compare", "--config", str(cfg), "--out", str(out)]) == 0
+    metadata = json.loads((out / "report.json").read_text())["metadata"]
+    if scenario == "free":
+        # the phase of exp(i p x / hbar), unwrapped from x_min = -20, less S = p x
+        p, x0 = math.sqrt(2.0 * mass * 0.5), -20.0
+        offset = hbar * np.angle(np.exp(1j * p * x0 / hbar)) - p * x0
+        assert metadata["constant_offset"] == pytest.approx(offset, abs=1e-9)
+    else:
+        # measured at hbar = m = 1, the phase-action gap is O(1), far above 2e-3
+        assert metadata["ground_energy"] == pytest.approx(0.5 * hbar, abs=1e-3)
+
+
+@pytest.mark.parametrize("scale, verdict", [("1", 0), ("1e-30", 1)])
+def test_a_closed_stdout_keeps_the_verdict_and_prints_no_traceback(tmp_path, scale, verdict):
+    # as in `qclab hj-compare ... | head -1`: the reader is gone before the
+    # summary is printed, and report.json already holds the verdict
+    cfg = _write(tmp_path, "compare.scenario = free\nhj.energy = 0.5\n")
+    out = tmp_path / "out"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "qclab.cli", "hj-compare", "--config", str(cfg),
+             "--out", str(out), "--tolerance-scale", scale],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=REPO,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (verdict, "")
+    assert json.loads((out / "report.json").read_text())["passed"] is (verdict == 0)
 
 
 def test_hj_compare_rejects_unknown_scenario(tmp_path, capsys):

@@ -82,18 +82,47 @@ def test_cli_import_loads_no_scipy():
     assert _probe(code) == "False False"
 
 
+# the qclab submodules loaded, in name order
+_SUBMODULES = "print(*sorted(m for m in sys.modules if m.startswith('qclab.')), end=' ')"
+
+
+def test_importing_qclab_loads_no_submodule():
+    assert _probe(f"import qclab; print(end='-'); {_SUBMODULES}") == "- False"
+
+
+def test_importing_the_cli_loads_only_what_every_subcommand_uses():
+    # each subcommand imports its own layers when it runs
+    loaded = "qclab.cli qclab.config qclab.grids qclab.potentials qclab.report"
+    assert _probe(f"import qclab.cli; {_SUBMODULES}") == f"{loaded} False"
+
+
+def test_the_lazy_namespace_resolves_every_exported_name():
+    code = """import qclab
+namespace = {}
+exec("from qclab import *", namespace)
+same = [namespace["evolve"] is qclab.evolution.evolve, namespace["grids"] is qclab.grids,
+        namespace["CHECKS"] is qclab.report.CHECKS, namespace["EigenPair"] is qclab.spectral.EigenPair]
+try:
+    qclab.no_such_name
+except AttributeError as exc:
+    same.append(str(exc) == "module 'qclab' has no attribute 'no_such_name'")
+print(set(qclab.__all__) <= set(namespace), all(same), end=' ')"""
+    assert _probe(code) == "True True False"
+
+
+# whether qclab's LAPACK bindings, then the verification layer, are loaded
+_LOADED = "print('qclab.lapack' in sys.modules, 'qclab.verification' in sys.modules, end=' ')"
+
+
 @pytest.mark.parametrize(
     "name, subcommand",
     [("free-hj", "hj"), ("harmonic-caustic-hj", "hj"), ("plane-wave-madelung", "madelung")],
 )
 def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
+    # nor the LAPACK bindings, nor the verification layer
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
-    code = f"from qclab.cli import main; print(main({argv!r}), end=' ')"
-    assert _probe(code) == "0 False"
-
-
-# whether qclab's LAPACK bindings are loaded
-_LOADED = "print('qclab.lapack' in sys.modules, end=' ')"
+    code = f"from qclab.cli import main; print(main({argv!r}), end=' '); {_LOADED}"
+    assert _probe(code) == "0 False False False"
 
 
 @pytest.mark.parametrize(
@@ -106,15 +135,16 @@ _LOADED = "print('qclab.lapack' in sys.modules, end=' ')"
     ],
 )
 def test_solving_configs_load_lapack_but_not_scipy_linalg(tmp_path, name, subcommand):
-    # LAPACK comes from numpy's own OpenBLAS: no scipy module at all
+    # LAPACK comes from numpy's own OpenBLAS: no scipy module at all; and only
+    # verify-all and hj-compare load the verification layer
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
     code = f"from qclab.cli import main; print(main({argv!r}), end=' '); {_LOADED}"
-    assert _probe(code) == "0 True False"
+    assert _probe(code) == "0 True False False"
 
 
 def test_verify_all_loads_lapack_but_not_scipy_linalg():
     code = f"from qclab.verification import run_verify_all; run_verify_all(); {_LOADED}"
-    assert _probe(code) == "True False"
+    assert _probe(code) == "True True False"
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "qclab.lapack"])

@@ -26,8 +26,9 @@ from qclab import (
 )
 from qclab.cli import main
 from qclab.config import RunConfig
-from qclab.hamilton_jacobi import principal_function_slices
-from qclab.verification import CHECKS, CRITERIA, VerifyContext, run_verify_all
+from qclab.hamilton_jacobi import free_characteristics_deviation, principal_function_slices
+from qclab.report import CHECKS
+from qclab.verification import CRITERIA, VerifyContext, run_verify_all
 
 DEFAULTS = {name: tolerance for name, (tolerance, _, _) in CHECKS.items()}
 
@@ -318,11 +319,7 @@ def test_the_free_characteristics_check_builds_no_field(warm_context):
     slices = list(principal_function_slices(
         FreePotential(), s_fn(grid.x, 0.0), grid, 1e-3, 100, warm_context.constants
     ))
-    _, peak = _traced(
-        lambda: verification.free_characteristics_check(
-            warm_context, slices, grid, 1e-3, s_fn, ""
-        )
-    )
+    _, peak = _traced(lambda: free_characteristics_deviation(slices, grid, 1e-3, s_fn))
     # the closed form, the difference or a masked copy over the whole
     # field would each take 101 x 4001 x 8 B = 3.2 MB
     assert peak < 101 * grid.n_points * 8
@@ -336,15 +333,12 @@ def test_the_free_characteristics_check_reads_only_valid_points(warm_context):
     valid = [np.ones(5, dtype=bool), np.array([False, True, True, False, False])]
     s = [np.where(v, e, np.nan) for v, e in zip(valid, exact)]
     s[1][2] += 3e-7
-    check = verification.free_characteristics_check(
-        warm_context, zip(range(2), s, valid), grid, dt, s_fn, ""
-    )
+    deviation = free_characteristics_deviation(zip(range(2), s, valid), grid, dt, s_fn)
+    check = warm_context.check("characteristics_free_error", deviation)
     assert check.measured == pytest.approx(3e-7, rel=1e-6) and check.passed
     nowhere_valid = zip(range(2), s, [np.zeros(5, dtype=bool)] * 2)
     with pytest.raises(ValueError):
-        verification.free_characteristics_check(
-            warm_context, nowhere_valid, grid, dt, s_fn, ""
-        )
+        free_characteristics_deviation(nowhere_valid, grid, dt, s_fn)
 
 
 def test_the_ground_evolution_keeps_one_period_and_one_stride(warm_context):
