@@ -10,7 +10,7 @@ evaluates the multiplied-form oscillator identity residual per level.
 Usage: python3 scripts/harmonic_quantum_potential.py [--levels K] [--csv OUT]
 """
 import argparse
-import csv
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from qclab import (
     solve_lowest_eigenpairs,
     total_potential,
 )
+from qclab.cli import _write_columns
 from qclab.grids import PhysicalConstants
 from qclab.madelung import verify_oscillator_identity
 
@@ -45,7 +46,7 @@ def main() -> None:
     print(f"harmonic well, omega = {args.omega}, dx = {grid.dx:.4f}")
     print(f"{'n':>3} {'E_n':>12} {'max|V_t - E_n|':>16} "
           f"{'identity residual':>18}")
-    rows = []
+    header, columns = ["x", "v"], [grid.x, v]
     for pair in pairs:
         polar = decompose(pair.state, constants)
         v_q = quantum_potential(polar, constants)
@@ -56,21 +57,11 @@ def main() -> None:
         )
         print(f"{pair.index:>3} {pair.energy:>12.8f} {flatness:>16.3e} "
               f"{residual:>18.3e}")
-        if args.csv:
-            rows.append((pair.index, v_q, v_t))
+        header += [f"v_q_{pair.index}", f"v_t_{pair.index}"]
+        columns += [v_q, v_t]
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "v"] + [
-                name for n, _, _ in rows for name in (f"v_q_{n}", f"v_t_{n}")
-            ])
-            for i in range(grid.n_points):
-                row = [repr(float(grid.x[i])), repr(float(v[i]))]
-                for _, v_q, v_t in rows:
-                    row.append(repr(float(v_q[i])))
-                    row.append(repr(float(v_t[i])))
-                writer.writerow(row)
+        _write_columns(Path(args.csv), header, *columns)
         print(f"wrote {args.csv}")
 
 

@@ -19,12 +19,12 @@ from qclab import (
     EnsembleSpec,
     HarmonicPotential,
     RunConfig,
-    WeightingFunction,
     assemble_hamiltonian,
     build_grid,
     compare_energy_statistics,
     draw_sample_energies,
     energy_distribution,
+    gaussian_weights,
     solve_lowest_eigenpairs,
 )
 from qclab.grids import PhysicalConstants
@@ -42,11 +42,10 @@ def main() -> None:
     pairs = solve_lowest_eigenpairs(h, args.levels)
     energies = np.array([pair.energy for pair in pairs])
 
-    # the gaussian energy profile `qclab ensemble` uses by default
+    # the Gaussian energy profile `qclab ensemble` uses by default
     mean = defaults.get("ensemble.mean_energy")
     sigma = defaults.get("ensemble.sigma_energy")
-    raw = np.exp(-((energies - mean) ** 2) / (2.0 * sigma**2))
-    weights = WeightingFunction(np.sqrt(raw / raw.sum()).astype(complex))
+    weights = gaussian_weights(energies, mean, sigma)
     quantum = energy_distribution(weights, pairs)
     probabilities = np.abs(weights.coefficients) ** 2
 

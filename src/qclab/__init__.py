@@ -20,7 +20,7 @@ _EXPORTS = {
     "ensemble": (
         "RNG_ALGORITHM", "EnsembleResult", "EnsembleSpec", "WeightingFunction",
         "build_superposition", "compare_energy_statistics", "draw_sample_energies",
-        "energy_distribution", "project", "run_classical_ensemble",
+        "energy_distribution", "gaussian_weights", "project", "run_classical_ensemble",
     ),
     "evolution": ("EvolutionResult", "Observable", "evolve", "expectation"),
     "grids": ("Grid1D", "PhysicalConstants", "build_grid"),

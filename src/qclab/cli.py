@@ -420,20 +420,30 @@ def _cmd_hj(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
 
 
 def _cmd_hj_compare(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
-    from .evolution import evolve
-    from .potentials import HarmonicPotential
-    from .spectral import assemble_hamiltonian, solve_lowest_eigenpairs
-    from .verification import inertial_checks, phase_action_gap_check
+    from .madelung import inertial_deviations, phase_action_gap
 
     scenario = config.get("compare.scenario").lower()
     grid, constants = config.grid, config.constants
     metadata: dict = {"comparison": scenario}
 
     if scenario == "free":
+        from .hamilton_jacobi import free_principal_function
+        from .states import plane_wave
+
         energy = _plane_wave_energy(config, "hj.energy")
-        offset, checks = inertial_checks(ctx, grid, energy, f"E={energy}")
+        psi = plane_wave(grid, energy, constants)
+        s_fn = free_principal_function(energy, constants)
+        phase, v_q, offset = inertial_deviations(psi, s_fn, constants)
         metadata["constant_offset"] = offset
+        checks = [
+            ctx.check("inertial_phase_vs_action", phase, f"E={energy}"),
+            ctx.check("inertial_quantum_potential", v_q),
+        ]
     elif scenario == "harmonic-ground":
+        from .evolution import evolve
+        from .potentials import HarmonicPotential
+        from .spectral import assemble_hamiltonian, solve_lowest_eigenpairs
+
         omega = config.get("potential.omega")
         potential = HarmonicPotential(omega)
         v = potential.on_grid(grid, constants)
@@ -442,9 +452,8 @@ def _cmd_hj_compare(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
         dt = config.get("hj.dt")
         result = evolve(ground.state, v, dt, 2, constants, store_every=1)
         metadata["ground_energy"] = ground.energy
-        checks = [
-            phase_action_gap_check(ctx, result.slices, v, f"omega={omega}, dt={dt}")
-        ]
+        gap = phase_action_gap(result.slices, v, constants)
+        checks = [ctx.check("phase_action_gap_vs_vq", gap, f"omega={omega}, dt={dt}")]
     else:
         raise ConfigError(
             f"unknown compare.scenario {scenario!r} (free | harmonic-ground)"
@@ -473,7 +482,14 @@ def _cmd_superpose(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
         raise ConfigError("superpose needs superpose.coefficients (comma-separated)")
     coefficients = _parse_coefficients(raw)
     weights = WeightingFunction(coefficients)
-    original_total = weights.total_weight
+    with np.errstate(over="ignore"):
+        original_total = weights.total_weight
+    if not np.finfo(float).tiny <= original_total < np.inf:
+        # a subnormal total would normalize to weights off unit total weight
+        raise ConfigError(
+            f"superpose.coefficients: sum |c_n|^2 evaluates to {original_total!r}, "
+            "outside the normal float range; rescale the coefficients"
+        )
     weights = weights.normalized()
     pairs = _solve_pairs(config, coefficients.size)
     psi0 = build_superposition(pairs, weights)
@@ -520,8 +536,12 @@ def _cmd_ensemble(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
         raise ConfigError(f"ensemble.n_samples must be >= 1, got {n_samples}")
     pairs = _solve_pairs(config, k)
     energies = np.array([pair.energy for pair in pairs])
-    raw = np.exp(-((energies - mean) ** 2) / (2.0 * sigma**2))
-    weights = ensemble.WeightingFunction(np.sqrt(raw / raw.sum()).astype(complex))
+    try:
+        weights = ensemble.gaussian_weights(energies, mean, sigma)
+    except ValueError as exc:
+        raise ConfigError(
+            f"ensemble.mean_energy = {mean!r}, ensemble.sigma_energy = {sigma!r}: {exc}"
+        ) from None
     quantum = ensemble.energy_distribution(weights, pairs)
     probabilities = np.abs(weights.coefficients) ** 2
 

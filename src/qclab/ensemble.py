@@ -59,6 +59,26 @@ class WeightingFunction:
         return WeightingFunction(self.coefficients / w)
 
 
+def gaussian_weights(
+    energies: np.ndarray, mean: float, sigma: float
+) -> WeightingFunction:
+    """Real weights with |c_n|^2 proportional to exp(-(E_n - mean)^2 / 2 sigma^2).
+
+    sigma is the width of the probabilities |c_n|^2, as for `qclab
+    ensemble`.  verify-all's superposition keeps its own weights, Gaussian
+    in the amplitudes c_n and so sqrt(2) narrower in |c_n|^2: routing them
+    through here would move its report.  Raises ValueError when no level's
+    weight is positive: each underflows to zero, or sigma**2 does.
+    """
+    with np.errstate(all="ignore"):  # an overflow in the exponent is a zero weight
+        raw = np.exp(-((energies - mean) ** 2) / (2.0 * np.float64(sigma) ** 2))
+    total = raw.sum()
+    if not total > 0.0:
+        span = f"[{float(np.min(energies))!r}, {float(np.max(energies))!r}]"
+        raise ValueError(f"the Gaussian weight of every level (E_n in {span}) is zero")
+    return WeightingFunction(np.sqrt(raw / total).astype(complex))
+
+
 def build_superposition(
     basis: Sequence[EigenPair], weights: WeightingFunction
 ) -> WaveFunction:

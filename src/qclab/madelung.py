@@ -9,8 +9,10 @@ into two real equations,
 
 with the quantum potential V_q = -(hbar^2/2m) lap(lambda)/lambda and the
 effective potential V_t = V + V_q.  This module performs the
-decomposition, evaluates V_q and V_t, and verifies the identities that
-stationary states must satisfy:
+decomposition, evaluates V_q and V_t, measures how far a phase is from
+a classical principal function (exactly -V_q, and nothing for inertial
+motion), and verifies the identities that stationary states must
+satisfy:
 
   * for stationary 1D states with monotone phase, lambda^2 * dPhi/dx is
     spatially constant (equivalently lambda = P^(-1/2) up to one global
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -234,6 +236,40 @@ def madelung_residuals(
         r_phase[row] = grad_phi**2 / (2.0 * m) + potential_values + v_q + dphi_dt
         r_cont[row] = lap_phi + 2.0 * grad_phi * grad_log + 2.0 * m * dlog_dt
     return r_phase, r_cont
+
+
+def phase_action_gap(
+    series: Sequence[WaveFunction],
+    potential_values: np.ndarray,
+    constants: PhysicalConstants,
+) -> float:
+    """How far the classical HJ residual of the phase at series[1] is from
+    -V_q: max |r_phase| of madelung_residuals on series[:3]."""
+    r_phase, _ = madelung_residuals(series[:3], potential_values, constants)
+    return float(np.nanmax(np.abs(r_phase[0])))
+
+
+def inertial_deviations(
+    psi: WaveFunction,
+    s_fn: Callable[[np.ndarray, float], np.ndarray],
+    constants: PhysicalConstants,
+) -> tuple[float, float, float]:
+    """How far psi is from inertial motion with principal function
+    S = s_fn(x, t), such as hamilton_jacobi.free_principal_function.
+
+    Returns (max |Phi - S - offset|, max |V_q|, offset), the offset being
+    the constant Phi - S midway between its extremes.  For a plane wave
+    and its own S the first two vanish.
+    """
+    polar = decompose(psi, constants)
+    diff = polar.phase - s_fn(psi.grid.x, psi.time)
+    offset = 0.5 * (np.nanmax(diff) + np.nanmin(diff))
+    v_q = quantum_potential(polar, constants)
+    return (
+        float(np.nanmax(np.abs(diff - offset))),
+        float(np.nanmax(np.abs(v_q))),
+        float(offset),
+    )
 
 
 @dataclass(frozen=True)

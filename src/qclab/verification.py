@@ -44,7 +44,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +69,9 @@ from .hamilton_jacobi import (
 )
 from .madelung import (
     decompose,
+    inertial_deviations,
     madelung_residuals,
+    phase_action_gap,
     quantum_potential,
     total_potential,
     verify_1d_amplitude_relation,
@@ -206,6 +207,8 @@ class VerifyContext(CheckContext):
 
     @cached_property
     def superposition_weights(self) -> WeightingFunction:
+        # Gaussian in the amplitudes, sqrt(2) narrower in |c_n|^2 than
+        # ensemble.gaussian_weights at the same width
         energies = np.array([pair.energy for pair in self.harmonic_pairs])
         raw = np.exp(-((energies - 4.0) ** 2) / (2.0 * 1.5**2))
         return WeightingFunction(raw.astype(complex)).normalized()
@@ -229,47 +232,16 @@ class VerifyContext(CheckContext):
         )
 
 
-def inertial_checks(
-    ctx: CheckContext, grid: Grid1D, energy: float, detail: str
-) -> tuple[float, list[CheckResult]]:
-    """Free plane wave of energy E: phase against -Et + x sqrt(2mE), flat V_q.
-
-    Returns the constant offset between phase and principal function
-    together with the two checks; `detail` annotates the phase check.
-    """
-    psi = plane_wave(grid, energy, ctx.constants)
-    polar = decompose(psi, ctx.constants)
-    s_fn = free_principal_function(energy, ctx.constants)
-    diff = polar.phase - s_fn(grid.x, 0.0)
-    offset = 0.5 * (np.nanmax(diff) + np.nanmin(diff))
-    v_q = quantum_potential(polar, ctx.constants)
-    return float(offset), [
-        ctx.check(
-            "inertial_phase_vs_action", float(np.nanmax(np.abs(diff - offset))), detail
-        ),
-        ctx.check("inertial_quantum_potential", float(np.nanmax(np.abs(v_q)))),
-    ]
-
-
-def phase_action_gap_check(
-    ctx: CheckContext,
-    slices: Sequence[WaveFunction],
-    potential_values: np.ndarray,
-    detail: str,
-) -> CheckResult:
-    """Classical HJ residual of the phase of three consecutive slices,
-    plus V_q of the middle one: row 0 of madelung_residuals' r_phase."""
-    r_phase, _ = madelung_residuals(slices, potential_values, ctx.constants)
-    return ctx.check(
-        "phase_action_gap_vs_vq", float(np.nanmax(np.abs(r_phase[0]))), detail
-    )
-
-
 def criterion_inertial(ctx: VerifyContext) -> list[CheckResult]:
-    _, checks = inertial_checks(
-        ctx, ctx.wide_grid, 0.5, "plane wave E=0.5 on (-20,20)/4001"
-    )
-    return checks
+    energy = 0.5
+    psi = plane_wave(ctx.wide_grid, energy, ctx.constants)
+    s_fn = free_principal_function(energy, ctx.constants)
+    phase, v_q, _ = inertial_deviations(psi, s_fn, ctx.constants)
+    detail = "plane wave E=0.5 on (-20,20)/4001"
+    return [
+        ctx.check("inertial_phase_vs_action", phase, detail),
+        ctx.check("inertial_quantum_potential", v_q),
+    ]
 
 
 def criterion_spectrum(ctx: VerifyContext) -> list[CheckResult]:
@@ -312,10 +284,9 @@ def criterion_quantum_potential_gap(ctx: VerifyContext) -> list[CheckResult]:
             float(max(deviations)),
             ", ".join(f"n={n}: {d:.3e}" for n, d in enumerate(deviations)),
         ),
-        phase_action_gap_check(
-            ctx,
-            ctx.ground_evolution.slices[:3],
-            v,
+        ctx.check(
+            "phase_action_gap_vs_vq",
+            phase_action_gap(ctx.ground_evolution.slices, v, ctx.constants),
             "evolved ground state, three consecutive stored slices",
         ),
     ]

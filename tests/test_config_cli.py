@@ -742,6 +742,50 @@ def test_finite_values_whose_derived_values_overflow_exit_2(
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way
+@pytest.mark.parametrize(
+    "subcommand, lines, keys",
+    [
+        (
+            "ensemble",
+            ["ensemble.k = 4", "ensemble.mean_energy = 100", "ensemble.sigma_energy = 0.1"],
+            ["ensemble.mean_energy", "ensemble.sigma_energy"],
+        ),
+        (
+            "ensemble",
+            ["ensemble.k = 4", "ensemble.mean_energy = 1e308"],
+            ["ensemble.mean_energy", "ensemble.sigma_energy"],
+        ),
+        ("superpose", ["superpose.coefficients = 1e200, 1e200j"], ["superpose.coefficients"]),
+        ("superpose", ["superpose.coefficients = 1e-200, 1e-200j"], ["superpose.coefficients"]),
+    ],
+    ids=["ensemble-underflow", "ensemble-overflow", "superpose-overflow", "superpose-underflow"],
+)
+def test_weights_out_of_float_range_exit_2_naming_their_keys(
+    tmp_path, capsys, subcommand, lines, keys
+):
+    # every weight underflows to zero, or sum |c_n|^2 leaves the float range
+    cfg = _write(tmp_path, SMALL_HARMONIC + "".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qclab: config error: ")
+    assert all(key in err[0] for key in keys)
+    assert not (out / "report.json").exists()
+
+
+def test_an_ensemble_wider_than_a_float_square_draws_uniformly(tmp_path):
+    cfg = _write(
+        tmp_path,
+        SMALL_HARMONIC + "ensemble.k = 4\nensemble.sigma_energy = 1e200\n"
+        "ensemble.n_samples = 100\nensemble.n_steps = 10\n",
+    )
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    levels = json.loads((out / "comparison.json").read_text())["levels"]
+    assert [level["p_quantum"] for level in levels] == [0.25] * 4
+
+
 def test_a_large_finite_orbit_energy_still_runs(tmp_path):
     cfg = _write(tmp_path, "hj.p0 = 1e150\nhj.n_steps = 10\n")
     out = tmp_path / "out"

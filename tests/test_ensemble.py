@@ -15,6 +15,7 @@ from qclab import (
     compare_energy_statistics,
     draw_sample_energies,
     energy_distribution,
+    gaussian_weights,
     integrate_hamilton,
     project,
     run_classical_ensemble,
@@ -34,6 +35,18 @@ def test_weighting_normalization_and_leakage():
         WeightingFunction(np.zeros(2, dtype=complex)).normalized()
     with pytest.raises(ValueError, match="1D"):
         WeightingFunction(np.zeros((2, 2), dtype=complex))
+
+
+def test_gaussian_weights_put_the_width_on_the_probabilities():
+    energies = np.arange(8) + 0.5
+    weights = gaussian_weights(energies, 4.0, 1.5)
+    raw = np.exp(-((energies - 4.0) ** 2) / (2.0 * 1.5**2))
+    assert weights.coefficients.tobytes() == np.sqrt(raw / raw.sum()).astype(complex).tobytes()
+    assert np.abs(weights.coefficients) ** 2 == pytest.approx(raw / raw.sum(), rel=1e-15)
+    # a vanishing total is refused, not turned into NaN weights
+    for mean, sigma in [(100.0, 0.1), (1e308, 1.5), (4.5, 1e-200)]:
+        with pytest.raises(ValueError, match="weight of every level"):
+            gaussian_weights(energies, mean, sigma)
 
 
 def test_superposition_roundtrips_through_projection(harmonic_pairs):

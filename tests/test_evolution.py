@@ -110,8 +110,28 @@ print(set(qclab.__all__) <= set(namespace), all(same), end=' ')"""
     assert _probe(code) == "True True False"
 
 
-# whether qclab's LAPACK bindings, then the verification layer, are loaded
-_LOADED = "print('qclab.lapack' in sys.modules, 'qclab.verification' in sys.modules, end=' ')"
+# the qclab modules a run loads: what `import qclab.cli` loads, plus the
+# layers of each shipped config (verify.config is verify-all: every module)
+_CLI = "cli config grids potentials report"
+_LAYERS = {
+    "free-hj": "hamilton_jacobi stencils",
+    "harmonic-caustic-hj": "hamilton_jacobi stencils",
+    "plane-wave-madelung": "madelung states stencils",
+    "harmonic-eigen": "lapack spectral states stencils tridiagonal",
+    "gaussian-evolve": "evolution lapack spectral states stencils tridiagonal",
+    "superpose": "ensemble hamilton_jacobi lapack spectral states stencils tridiagonal",
+    "ensemble": "ensemble hamilton_jacobi lapack spectral states stencils tridiagonal",
+    "verify": "ensemble evolution hamilton_jacobi lapack madelung spectral states "
+    "stencils tridiagonal verification",
+}
+
+
+def _loaded(layers: str) -> str:
+    return " ".join(sorted(f"qclab.{m}" for m in f"{_CLI} {layers}".split()))
+
+
+def _run(argv) -> str:
+    return _probe(f"from qclab.cli import main; print(main({argv!r}), end=' '); {_SUBMODULES}")
 
 
 @pytest.mark.parametrize(
@@ -121,8 +141,7 @@ _LOADED = "print('qclab.lapack' in sys.modules, 'qclab.verification' in sys.modu
 def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
     # nor the LAPACK bindings, nor the verification layer
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
-    code = f"from qclab.cli import main; print(main({argv!r}), end=' '); {_LOADED}"
-    assert _probe(code) == "0 False False False"
+    assert _run(argv) == f"0 {_loaded(_LAYERS[name])} False"
 
 
 @pytest.mark.parametrize(
@@ -136,15 +155,37 @@ def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
 )
 def test_solving_configs_load_lapack_but_not_scipy_linalg(tmp_path, name, subcommand):
     # LAPACK comes from numpy's own OpenBLAS: no scipy module at all; and only
-    # verify-all and hj-compare load the verification layer
+    # verify-all loads the verification layer
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
-    code = f"from qclab.cli import main; print(main({argv!r}), end=' '); {_LOADED}"
-    assert _probe(code) == "0 True False False"
+    assert _run(argv) == f"0 {_loaded(_LAYERS[name])} False"
 
 
-def test_verify_all_loads_lapack_but_not_scipy_linalg():
-    code = f"from qclab.verification import run_verify_all; run_verify_all(); {_LOADED}"
-    assert _probe(code) == "True True False"
+def test_verify_all_loads_lapack_but_not_scipy_linalg(tmp_path):
+    # exit 1: the harmonic-spectrum gate is red by design
+    argv = ["verify-all", "--config", "configs/verify.config", "--out", str(tmp_path)]
+    assert _run(argv) == f"1 {_loaded(_LAYERS['verify'])} False"
+
+
+@pytest.mark.parametrize(
+    "scenario, keys, layers",
+    [
+        ("free", "", "hamilton_jacobi madelung states stencils"),
+        (
+            "harmonic-ground",
+            "potential.kind = harmonic\ngrid.n_points = 601\n",
+            "evolution lapack madelung spectral states stencils tridiagonal",
+        ),
+    ],
+    ids=["free", "harmonic-ground"],
+)
+def test_hj_compare_loads_its_scenarios_layers_and_no_verification(
+    tmp_path, scenario, keys, layers
+):
+    # the checks it shares with verify-all live in qclab.madelung
+    config = tmp_path / "compare.config"
+    config.write_text(f"compare.scenario = {scenario}\n{keys}")
+    argv = ["hj-compare", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert _run(argv) == f"0 {_loaded(layers)} False"
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "qclab.lapack"])
