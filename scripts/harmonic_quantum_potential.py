@@ -35,6 +35,8 @@ def main() -> None:
     parser.add_argument("--csv", type=str, default=None,
                         help="optionally dump x, V, V_q, V_t per level")
     args = parser.parse_args()
+    if args.levels < 1:
+        parser.error(f"need --levels >= 1, got {args.levels}")
 
     constants = PhysicalConstants()
     grid = build_grid(-12.0, 12.0, 2401)

@@ -36,6 +36,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--levels", type=int, default=8)
     args = parser.parse_args()
+    if args.levels < 1 or args.seed < 0:
+        parser.error(f"need --levels >= 1 and --seed >= 0, got {args.levels} and {args.seed}")
 
     grid = build_grid(-12.0, 12.0, 2401)
     h = assemble_hamiltonian(HarmonicPotential(1.0), grid, PhysicalConstants())

@@ -13,7 +13,9 @@ exactly.  This module builds both sides and measures the distance
 between their energy statistics.
 
 Sampling uses a counter-based generator (see RNG_ALGORITHM) so a fixed
-seed reproduces histograms bitwise on any platform.
+seed reproduces histograms bitwise on any platform.  The generator is
+written here in numpy: the stream is numpy.random.Philox's, bit for bit,
+without loading numpy.random.
 """
 from __future__ import annotations
 
@@ -27,6 +29,9 @@ from .hamilton_jacobi import verlet_step
 from .potentials import Potential
 from .states import EigenPair, WaveFunction
 
+# Reports carry this name (verify-all's metadata).  It names the stream, not
+# the code that draws it: _Philox below reproduces numpy.random.Philox's
+# words exactly, so the name and every seeded draw stay as they were.
 RNG_ALGORITHM = "philox4x64(numpy.random.Philox)"
 
 _WEIGHT_TOL = 1e-10
@@ -150,20 +155,136 @@ class EnsembleSpec:
             raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, got {seed!r}")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "rng_seed", int(seed))
 
 
-def _draw_levels(rng: np.random.Generator, spec: EnsembleSpec) -> np.ndarray:
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11) as numpy.random.Philox runs it.  All seeding
+# arithmetic is mod 2**32, all block arithmetic mod 2**64.
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+_PHILOX_M = (0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157)
+_PHILOX_W = (0x9E37_79B9_7F4A_7C15, 0xBB67_AE85_84CA_A73B)  # key step per round
+_CHUNK_BLOCKS = 4096  # blocks generated at a time, four words each
+
+
+def _hashmix(const: int, mult: int):
+    """numpy SeedSequence's hashmix: each call hashes one 32-bit word and
+    steps the shared hash constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_key(seed: int) -> tuple[int, int]:
+    """The Philox key numpy derives from seed: SeedSequence(seed)'s
+    4-word pool, then generate_state(2, np.uint64)."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0_D7E5, 0x931E_8875)
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01_F9DD * x - 0x4973_F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = list(map(_hashmix(0x8B51_F9DD, 0x58F3_8DED), pool))
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(m: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of m * b, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _MASK32), np.uint64(m >> 32)
+    b_lo, b_hi = b & _MASK32, b >> 32
+    t = m_lo * b_lo
+    u = m_hi * b_lo + (t >> 32)
+    v = m_lo * b_hi + (u & _MASK32)
+    return m_hi * b_hi + (u >> 32) + (v >> 32), np.uint64(m) * b
+
+
+def _philox_blocks(key: tuple[int, int], first: int, count: int) -> np.ndarray:
+    """The words of blocks first .. first + count - 1 in stream order: block
+    b is ten rounds on the counter (b, 0, 0, 0), the key bumped between.
+    (numpy carries into the counter's second word after 2**64 blocks, far
+    beyond any run.)"""
+    c0 = np.arange(first, first + count, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(count, dtype=np.uint64)
+    k0, k1 = key
+    with np.errstate(over="ignore"):
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return np.stack((c0, c1, c2, c3), axis=1).ravel()
+
+
+class _Philox:
+    """numpy.random.Generator(numpy.random.Philox(seed))'s random(n) and
+    choice(k, n, p=p), bit for bit.
+
+    numpy steps the counter before each block, so the first block is 1;
+    words of a block a draw leaves unused open the next draw.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._key = _seed_key(seed)
+        self._blocks = 0  # blocks generated so far
+        self._spare = np.empty(0, dtype=np.uint64)
+
+    def _fill(self, out: np.ndarray, convert) -> np.ndarray:
+        """Fill out with convert(u) of its next out.size uniforms
+        u = (word >> 11) * 2**-53 in [0, 1), a bounded chunk at a time."""
+        done = 0
+        while done < out.size:
+            if self._spare.size == 0:
+                count = min(_CHUNK_BLOCKS, -(-(out.size - done) // 4))
+                self._spare = _philox_blocks(self._key, self._blocks + 1, count)
+                self._blocks += count
+            words = self._spare[: out.size - done]
+            self._spare = self._spare[words.size :]
+            out[done : done + words.size] = convert((words >> 11) * 2.0**-53)
+            done += words.size
+        return out
+
+    def random(self, n: int) -> np.ndarray:
+        return self._fill(np.empty(n), lambda u: u)
+
+    def choice(self, p: np.ndarray, n: int) -> np.ndarray:
+        """n indices drawn with probabilities p, by inverting their CDF."""
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        return self._fill(
+            np.empty(n, dtype=np.int64), lambda u: cdf.searchsorted(u, side="right")
+        )
+
+
+def _draw_levels(rng: _Philox, spec: EnsembleSpec) -> np.ndarray:
     """The drawn level index of every sample."""
-    return rng.choice(spec.energies.size, size=spec.n_samples, p=spec.probabilities)
+    return rng.choice(spec.probabilities, spec.n_samples)
 
 
 def draw_sample_energies(spec: EnsembleSpec) -> np.ndarray:
     """The energies a run with this spec draws (same stream position as
     run_classical_ensemble's first draw)."""
-    rng = np.random.Generator(np.random.Philox(spec.rng_seed))
-    return spec.energies[_draw_levels(rng, spec)]
+    return spec.energies[_draw_levels(_Philox(spec.rng_seed), spec)]
 
 
 @dataclass(frozen=True)
@@ -213,7 +334,7 @@ def run_classical_ensemble(
     accumulated at every store_every-th step (plus the final one).
     """
     check_run_arguments(dt, n_steps, store_every)
-    rng = np.random.Generator(np.random.Philox(spec.rng_seed))
+    rng = _Philox(spec.rng_seed)
     n_levels = spec.energies.size
     launch = _draw_levels(rng, spec)
     energies = spec.energies[launch]

@@ -20,6 +20,7 @@ from qclab import (
     project,
     run_classical_ensemble,
 )
+from qclab.ensemble import _CHUNK_BLOCKS, _Philox
 
 
 # --- weights and superpositions -------------------------------------------
@@ -108,6 +109,29 @@ def test_spec_validation():
                          ([0.5, 1.5], [np.nan, 1.0])]:
         with pytest.raises(ValueError, match="must be finite"):
             EnsembleSpec(np.array(bad_e), np.array(bad_p), 10, 0)
+    # a negative seed has no SeedSequence words; a float or bool is no seed
+    for bad_seed in (-1, -(2**70), 1.5, 3.0, "3", True, None):
+        with pytest.raises(ValueError, match="rng_seed must be a nonnegative integer"):
+            EnsembleSpec(e, np.array([0.5, 0.5]), 10, bad_seed)
+    seed = EnsembleSpec(e, np.array([0.5, 0.5]), 10, np.uint32(7)).rng_seed
+    assert type(seed) is int and seed == 7
+
+
+@pytest.mark.parametrize("seed", [0, 3, 20260814, 2**32 + 5, 2**70 + 123, 2**160 + 7])
+def test_the_draws_are_numpy_random_philoxs_bit_for_bit(seed):
+    # numpy.random is the reference here, as scipy is for qclab.lapack.  The
+    # pairs follow the ensemble's draw order, levels then signs; counts that
+    # are not a multiple of 4 carry a block's spare words into the next draw,
+    # and 4 * _CHUNK_BLOCKS + 3 words span two chunks
+    p = np.array([0.1, 0.25, 0.05, 0.6])
+    reference = np.random.Generator(np.random.Philox(seed))
+    ours = _Philox(seed)
+    for n in (1, 7, 3, 4 * _CHUNK_BLOCKS + 3, 1, 6):
+        expected, drawn = reference.choice(p.size, size=n, p=p), ours.choice(p, n)
+        assert drawn.dtype == expected.dtype == np.int64
+        assert np.array_equal(drawn, expected)
+        expected, drawn = reference.random(n), ours.random(n)
+        assert drawn.dtype == expected.dtype and drawn.tobytes() == expected.tobytes()
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -180,7 +204,8 @@ def test_a_large_ensemble_holds_its_outputs_and_the_draw(constants):
     spec = EnsembleSpec(np.arange(8) + 0.5, np.full(8, 0.125), n, 3)
     grid = build_grid(-12.0, 12.0, 241)
     args = (HarmonicPotential(1.0), grid, 1e-3, 10, constants)
-    # the first run in a process loads part of numpy.random (~0.8 MB)
+    # a first run settles the process's one-off allocations (a few kB: the
+    # draw is numpy code and loads no numpy.random)
     run_classical_ensemble(EnsembleSpec(spec.energies, spec.probabilities, 10, 3), *args)
     tracemalloc.start()
     try:
@@ -190,8 +215,8 @@ def test_a_large_ensemble_holds_its_outputs_and_the_draw(constants):
         tracemalloc.stop()
     assert result.sample_energies.size == result.energy_drift.size == n
     # the two returned n-columns plus the draw: the level index of every
-    # sample and one n-array of uniforms at a time, with the sign test's
-    # booleans, 4.125 x n x 8 B
+    # sample (its uniforms come a bounded chunk at a time) and the sign
+    # draw's n-array of uniforms with its booleans, 4.125 x n x 8 B
     assert peak < 4.5 * n * 8
 
 
@@ -199,7 +224,7 @@ def test_stored_histograms_are_held_once(constants):
     spec = EnsembleSpec(np.array([0.5, 1.5]), np.array([0.5, 0.5]), 4, 3)
     grid = build_grid(-12.0, 12.0, 2401)
     args = (HarmonicPotential(1.0), grid, 1e-2, 640, constants)
-    # the first run in a process loads part of numpy.random (~0.8 MB)
+    # a first run settles the process's one-off allocations
     run_classical_ensemble(spec, *args, store_every=10)
     tracemalloc.start()
     try:

@@ -65,12 +65,17 @@ def test_steps_match_a_dense_crank_nicolson_reference(constants, n_points, shift
 
 def _probe(code: str) -> str:
     """Last stdout line of `code` run in a fresh interpreter at the repo root,
-    followed by whether any module whose name starts with scipy got loaded."""
+    followed by whether any module whose name starts with scipy got loaded,
+    then whether numpy.random or the secrets and hashlib modules it imports
+    (OpenSSL's libcrypto) did."""
     src = Path(qclab.__file__).resolve().parent.parent
-    scipy_loaded = "print(any(m.startswith('scipy') for m in sys.modules))"
+    loaded = (
+        "print(any(m.startswith('scipy') for m in sys.modules), "
+        "any(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c",
-         f"import sys; sys.path.insert(0, {str(src)!r}); {code}; {scipy_loaded}"],
+         f"import sys; sys.path.insert(0, {str(src)!r}); {code}; {loaded}"],
         capture_output=True, text=True, check=True, cwd=src.parent,
     ).stdout
     return out.splitlines()[-1]
@@ -79,7 +84,7 @@ def _probe(code: str) -> str:
 def test_cli_import_loads_no_scipy():
     # concurrent.futures is imported by verify-all's thread pool, on first use
     code = "import qclab.cli; print('concurrent.futures' in sys.modules, end=' ')"
-    assert _probe(code) == "False False"
+    assert _probe(code) == "False False False"
 
 
 # the qclab submodules loaded, in name order
@@ -87,13 +92,13 @@ _SUBMODULES = "print(*sorted(m for m in sys.modules if m.startswith('qclab.')), 
 
 
 def test_importing_qclab_loads_no_submodule():
-    assert _probe(f"import qclab; print(end='-'); {_SUBMODULES}") == "- False"
+    assert _probe(f"import qclab; print(end='-'); {_SUBMODULES}") == "- False False"
 
 
 def test_importing_the_cli_loads_only_what_every_subcommand_uses():
     # each subcommand imports its own layers when it runs
     loaded = "qclab.cli qclab.config qclab.grids qclab.potentials qclab.report"
-    assert _probe(f"import qclab.cli; {_SUBMODULES}") == f"{loaded} False"
+    assert _probe(f"import qclab.cli; {_SUBMODULES}") == f"{loaded} False False"
 
 
 def test_the_lazy_namespace_resolves_every_exported_name():
@@ -107,7 +112,7 @@ try:
 except AttributeError as exc:
     same.append(str(exc) == "module 'qclab' has no attribute 'no_such_name'")
 print(set(qclab.__all__) <= set(namespace), all(same), end=' ')"""
-    assert _probe(code) == "True True False"
+    assert _probe(code) == "True True False False"
 
 
 # the qclab modules a run loads: what `import qclab.cli` loads, plus the
@@ -141,7 +146,7 @@ def _run(argv) -> str:
 def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
     # nor the LAPACK bindings, nor the verification layer
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
-    assert _run(argv) == f"0 {_loaded(_LAYERS[name])} False"
+    assert _run(argv) == f"0 {_loaded(_LAYERS[name])} False False"
 
 
 @pytest.mark.parametrize(
@@ -154,16 +159,17 @@ def test_lapack_free_configs_never_load_scipy(tmp_path, name, subcommand):
     ],
 )
 def test_solving_configs_load_lapack_but_not_scipy_linalg(tmp_path, name, subcommand):
-    # LAPACK comes from numpy's own OpenBLAS: no scipy module at all; and only
+    # LAPACK comes from numpy's own OpenBLAS: no scipy module at all; the
+    # ensemble draws numpy's Philox stream itself: no numpy.random; and only
     # verify-all loads the verification layer
     argv = [subcommand, "--config", f"configs/{name}.config", "--out", str(tmp_path)]
-    assert _run(argv) == f"0 {_loaded(_LAYERS[name])} False"
+    assert _run(argv) == f"0 {_loaded(_LAYERS[name])} False False"
 
 
 def test_verify_all_loads_lapack_but_not_scipy_linalg(tmp_path):
     # exit 1: the harmonic-spectrum gate is red by design
     argv = ["verify-all", "--config", "configs/verify.config", "--out", str(tmp_path)]
-    assert _run(argv) == f"1 {_loaded(_LAYERS['verify'])} False"
+    assert _run(argv) == f"1 {_loaded(_LAYERS['verify'])} False False"
 
 
 @pytest.mark.parametrize(
@@ -185,7 +191,7 @@ def test_hj_compare_loads_its_scenarios_layers_and_no_verification(
     config = tmp_path / "compare.config"
     config.write_text(f"compare.scenario = {scenario}\n{keys}")
     argv = ["hj-compare", "--config", str(config), "--out", str(tmp_path / "out")]
-    assert _run(argv) == f"0 {_loaded(layers)} False"
+    assert _run(argv) == f"0 {_loaded(layers)} False False"
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "qclab.lapack"])
@@ -216,7 +222,7 @@ for n in (3, 41, 2401):
     y = ours.tridiagonal_solver(dl, dd, du)(rhs.copy())
     same.append(x.tobytes() == y.tobytes())
 print(all(same), end=' ')"""
-    assert _probe(code) == "True True"
+    assert _probe(code) == "True True True"
 
 
 def test_a_missing_symbol_raises_one_import_error_naming_it():
@@ -235,7 +241,7 @@ try:
 except ImportError as exc:
     expected = f"LAPACK symbol scipy_zgttrs_64_ not found in {_umath_linalg.__file__}"
     print(str(exc) == expected, end=' ')"""
-    assert _probe(code) == "True False"
+    assert _probe(code) == "True False False"
 
 
 def test_a_solver_refuses_arrays_lapack_would_misread():

@@ -42,6 +42,25 @@ def test_script_runs_with_default_arguments(monkeypatch, capsys, name, header):
     assert _run(monkeypatch, capsys, name)[0].startswith(header)
 
 
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("harmonic_quantum_potential.py", ["--levels", "0"], "need --levels >= 1, got 0"),
+        ("measurement_ensemble.py", ["--levels", "0"],
+         "need --levels >= 1 and --seed >= 0, got 0 and 20260814"),
+        ("measurement_ensemble.py", ["--seed", "-1"],
+         "need --levels >= 1 and --seed >= 0, got 8 and -1"),
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_one_error_line(
+    monkeypatch, capsys, name, args, message
+):
+    with pytest.raises(SystemExit) as exc:
+        _run(monkeypatch, capsys, name, *args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"{name}: error: {message}"
+
+
 def test_the_identity_residuals_are_verify_alls(monkeypatch, capsys):
     rows = _run(monkeypatch, capsys, "harmonic_quantum_potential.py")[2:]
     printed = ", ".join(f"n={row.split()[0]}: {row.split()[3]}" for row in rows)
