@@ -37,9 +37,11 @@ def main() -> None:
     args = parser.parse_args()
     if args.levels < 1:
         parser.error(f"need --levels >= 1, got {args.levels}")
+    grid = build_grid(-12.0, 12.0, 2401)
+    if args.levels > grid.n_points - 2:
+        parser.error(f"need --levels <= {grid.n_points - 2} on this grid, got {args.levels}")
 
     constants = PhysicalConstants()
-    grid = build_grid(-12.0, 12.0, 2401)
     potential = HarmonicPotential(args.omega)
     v = potential.on_grid(grid, constants)
     h = assemble_hamiltonian(potential, grid, constants)

@@ -38,8 +38,10 @@ def main() -> None:
     args = parser.parse_args()
     if args.levels < 1 or args.seed < 0:
         parser.error(f"need --levels >= 1 and --seed >= 0, got {args.levels} and {args.seed}")
-
     grid = build_grid(-12.0, 12.0, 2401)
+    if args.levels > grid.n_points - 2:
+        parser.error(f"need --levels <= {grid.n_points - 2} on this grid, got {args.levels}")
+
     h = assemble_hamiltonian(HarmonicPotential(1.0), grid, PhysicalConstants())
     pairs = solve_lowest_eigenpairs(h, args.levels)
     energies = np.array([pair.energy for pair in pairs])

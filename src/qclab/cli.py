@@ -2,12 +2,12 @@
 
 Each subcommand reads one `key = value` config file (all keys optional,
 defaults come from the config schema), writes machine-readable artifacts
-(CSV for numeric fields, JSON for summaries) into the output directory,
-and returns its report metadata and checks.  main turns those into the
-`report.json` check report, named after the subcommand, and prints one
-[PASS]/[FAIL] line per check.  Every check's default tolerance,
-comparator and identity come from report.CHECKS.  Each subcommand
-imports the layers it runs when it starts, so a process loads only those.
+(CSV for numeric fields, JSON for summaries) into a staging directory,
+and returns its report metadata and checks.  main adds the `report.json`
+check report, named after the subcommand, moves the files into the output
+directory on exit 0 or 1 and prints one [PASS]/[FAIL] line per check.
+Every check's default tolerance, comparator and identity come from
+report.CHECKS.  Each subcommand imports only the layers it runs, when it starts.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 config error.  Identical config and seed give byte-identical reports up
@@ -36,13 +36,14 @@ import cmath
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
-from .grids import Grid1D, check_run_arguments
+from .grids import check_run_arguments
 from .report import CheckContext, CheckResult, VerificationReport
 
 if TYPE_CHECKING:
@@ -104,10 +105,14 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _load_wavefunction_csv(path: Path, grid: Grid1D) -> WaveFunction:
-    """Read (x, re, im) rows; the x column must match the run grid."""
+def _load_wavefunction_csv(config: RunConfig, section: str) -> WaveFunction:
+    """Read (x, re, im) rows from <section>.csv; x must match the run grid."""
     from .states import WaveFunction
 
+    path, grid = config.get(f"{section}.csv"), config.grid
+    if not path:
+        raise ConfigError(f"{section}.state=csv needs {section}.csv")
+    path = Path(path)
     if not path.exists():
         raise ConfigError(f"wavefunction csv does not exist: {path}")
     data = np.genfromtxt(path, delimiter=",", names=True)
@@ -203,10 +208,7 @@ def _initial_state(config: RunConfig) -> WaveFunction:
             raise ConfigError(f"evolve.n must be >= 0, got {n}")
         return _solve_pairs(config, n + 1)[n].state
     if kind == "csv":
-        path = config.get("evolve.csv")
-        if not path:
-            raise ConfigError("evolve.state=csv needs evolve.csv")
-        return _load_wavefunction_csv(Path(path), grid).normalized()
+        return _load_wavefunction_csv(config, "evolve").normalized()
     raise ConfigError(f"unknown evolve.state {kind!r}")
 
 
@@ -272,10 +274,7 @@ def _cmd_madelung(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
         energy = (n + 0.5) * constants.hbar * omega
         oscillator_index = n
     elif kind == "csv":
-        path = config.get("madelung.csv")
-        if not path:
-            raise ConfigError("madelung.state=csv needs madelung.csv")
-        psi = _load_wavefunction_csv(Path(path), grid)
+        psi = _load_wavefunction_csv(config, "madelung")
     else:
         raise ConfigError(f"unknown madelung.state {kind!r}")
 
@@ -283,7 +282,6 @@ def _cmd_madelung(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
     v = config.potential.on_grid(grid, constants)
     v_q = madelung.quantum_potential(polar, constants)
     v_t = madelung.total_potential(v_q, v)
-    # every number is computed before the first file is written
     if not np.isfinite(v_q).any():
         raise ValueError("V_q has no finite point: every grid point is on or beside a node")
     roundtrip = madelung.recompose(polar, constants)
@@ -353,7 +351,6 @@ def _cmd_hj(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
     dt = config.get("hj.dt")
     n_steps = config.get("hj.n_steps")
     x0, p0 = config.get("hj.x0"), config.get("hj.p0")
-    # every key is refused before the first file is written
     s0_kind = config.get("hj.s0")
     if s0_kind is not None:
         s0_kind = s0_kind.lower()
@@ -614,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in [*_SUBCOMMANDS, "verify-all"]:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="key = value run file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--out", type=Path, default=Path(f"out-{name}"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="overrides run.seed")
         p.add_argument(
             "--tolerance-scale",
@@ -634,17 +631,23 @@ def main(argv=None) -> int:
         if config.seed < 0:
             raise ConfigError(f"run.seed must be >= 0, got {config.seed}")
         ctx = CheckContext.from_config(config, args.tolerance_scale)
-        out = args.out if args.out is not None else Path(f"out-{args.subcommand}")
-        out.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "verify-all":
-            from .verification import run_verify_all
+        out = args.out.resolve()
+        out.parent.mkdir(parents=True, exist_ok=True)
+        # the run writes into a staging directory beside out and is moved in on a
+        # verdict, report.json last: a failure leaves out as it was
+        with tempfile.TemporaryDirectory(dir=out.parent, prefix=f".{out.name}.") as staging:
+            staging = Path(staging)
+            if args.subcommand == "verify-all":
+                from .verification import run_verify_all
 
-            report = run_verify_all(config, tolerance_scale=args.tolerance_scale)
-        else:
-            metadata, checks = _SUBCOMMANDS[args.subcommand](config, ctx, out)
-            report = VerificationReport(args.subcommand, checks, metadata)
-        with open(out / "report.json", "w") as fh:
-            fh.write(report.to_json())
+                report = run_verify_all(config, tolerance_scale=args.tolerance_scale)
+            else:
+                metadata, checks = _SUBCOMMANDS[args.subcommand](config, ctx, staging)
+                report = VerificationReport(args.subcommand, checks, metadata)
+            (staging / "report.json").write_text(report.to_json())
+            out.mkdir(exist_ok=True)
+            for path in sorted(staging.iterdir(), key=lambda p: p.name == "report.json"):
+                os.replace(path, out / path.name)
     except ConfigError as exc:
         print(f"qclab: config error: {exc}", file=sys.stderr)
         return 2

@@ -246,6 +246,8 @@ def phase_action_gap(
     """How far the classical HJ residual of the phase at series[1] is from
     -V_q: max |r_phase| of madelung_residuals on series[:3]."""
     r_phase, _ = madelung_residuals(series[:3], potential_values, constants)
+    if not np.isfinite(r_phase[0]).any():
+        raise ValueError("phase residual has no finite point: every point is on or beside a node")
     return float(np.nanmax(np.abs(r_phase[0])))
 
 

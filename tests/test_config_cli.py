@@ -378,7 +378,7 @@ def test_madelung_on_a_three_point_grid_exits_2_with_one_line(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "qclab: the second-derivative stencil needs at least 4 points, got 3"
     ]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_evolve_writes_slices_and_observables(tmp_path):
@@ -462,7 +462,7 @@ def test_hj_refuses_its_field_keys_before_writing_anything(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("qclab: config error: ")
     assert key in err[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_hj_sweeps_only_the_slices_it_writes(tmp_path):
@@ -545,7 +545,7 @@ def test_madelung_with_no_finite_quantum_potential_exits_2_with_one_line(
     assert main(["madelung", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "V_q has no finite point" in err[0]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_eigen_rejects_a_grid_span_that_overflows(tmp_path, capsys):
@@ -857,7 +857,7 @@ def test_ensemble_refuses_a_draw_below_the_barrier_at_launch(tmp_path, capsys):
         r"at its launch point",
         err[0],
     )
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dt", ["nan", "inf"])
@@ -1053,6 +1053,27 @@ def test_wavefunction_csv_rejects_non_finite_cells(tmp_path, capsys, cell):
     assert err[0].endswith(f"non-finite re/im value at x = {x[50]!r}")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "subcommand, text, message",
+    [
+        ("evolve", "evolve.state = csv\n", "config error: evolve.state=csv needs evolve.csv"),
+        ("madelung", "madelung.state = csv\n",
+         "config error: madelung.state=csv needs madelung.csv"),
+        # on 4 points every point of the ground state is on or beside a node
+        ("hj-compare", "grid.n_points = 4\ngrid.x_min = -1\ngrid.x_max = 1\n"
+         "potential.kind = harmonic\ncompare.scenario = harmonic-ground\n",
+         "phase residual has no finite point: every point is on or beside a node"),
+    ],
+    ids=["evolve-csv", "madelung-csv", "hj-compare-nan"],
+)
+def test_a_refused_run_exits_2_with_one_line(tmp_path, capsys, subcommand, text, message):
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"qclab: {message}"]
+    assert not out.exists()
+
+
 # --- CSV artifacts ----------------------------------------------------------
 
 
@@ -1153,29 +1174,27 @@ def test_write_columns_of_unequal_length_leave_no_file(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize(
-    "subcommand, lines",
-    [
-        ("eigen", "eigen.k = 4\n"),
-        (
-            "evolve",
-            "evolve.center = 1.0\nevolve.momentum = 0.5\n"
-            "evolve.n_steps = 40\nevolve.store_every = 20\n",
-        ),
-        ("madelung", "madelung.state = harmonic\nmadelung.n = 2\n"),
-        (
-            "hj",
-            "hj.x0 = 2.0\nhj.p0 = 0.0\nhj.dt = 5e-3\nhj.n_steps = 600\n"
-            "hj.s0 = zero\nhj.store_every = 80\n",
-        ),
-        ("superpose", "superpose.coefficients = 0.6, 0.8j\n"),
-        (
-            "ensemble",
-            "ensemble.k = 2\nensemble.n_samples = 500\n"
-            "ensemble.n_steps = 100\nensemble.store_every = 50\n",
-        ),
-    ],
-)
+# a small run of each subcommand that writes CSV, on SMALL_HARMONIC
+_SMALL_RUNS = {
+    "eigen": "eigen.k = 4\n",
+    "evolve": (
+        "evolve.center = 1.0\nevolve.momentum = 0.5\n"
+        "evolve.n_steps = 40\nevolve.store_every = 20\n"
+    ),
+    "madelung": "madelung.state = harmonic\nmadelung.n = 2\n",
+    "hj": (
+        "hj.x0 = 2.0\nhj.p0 = 0.0\nhj.dt = 5e-3\nhj.n_steps = 600\n"
+        "hj.s0 = zero\nhj.store_every = 80\n"
+    ),
+    "superpose": "superpose.coefficients = 0.6, 0.8j\n",
+    "ensemble": (
+        "ensemble.k = 2\nensemble.n_samples = 500\n"
+        "ensemble.n_steps = 100\nensemble.store_every = 50\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand, lines", list(_SMALL_RUNS.items()))
 def test_subcommand_artifacts_match_the_csv_writer(
     tmp_path, capsys, monkeypatch, subcommand, lines
 ):
@@ -1200,3 +1219,50 @@ def test_subcommand_artifacts_match_the_csv_writer(
             assert reports[0] == reports[1]
         else:
             assert a.read_bytes() == b.read_bytes(), name
+
+
+def _unencodable(report):
+    raise ValueError("planted: the report cannot be encoded")
+
+
+_ALL_RUNS = {**_SMALL_RUNS, "hj-compare": "compare.scenario = harmonic-ground\n", "verify-all": ""}
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["no-out", "earlier-run"])
+@pytest.mark.parametrize(
+    "subcommand, failing",
+    [
+        # None: the run fails after its last write, as its report is encoded
+        *((name, None) for name in _ALL_RUNS),
+        # characteristics leave the 101-point zero table after s_field_0000.csv
+        ("hj", "hj.s0 = free\nhj.store_every = 10\n"),
+        # a packet cut by the wall is off norm one: expectation refuses it after the slices
+        ("evolve", "evolve.center = 19.9\nevolve.n_steps = 10\nevolve.store_every = 5\n"),
+    ],
+    ids=[*_ALL_RUNS, "hj-off-the-table", "evolve-cut-by-the-wall"],
+)
+def test_a_failed_run_leaves_out_as_it_was(
+    tmp_path, capsys, monkeypatch, subcommand, failing, earlier
+):
+    # verify-all writes only report.json; its canonical run is tested elsewhere
+    empty = VerificationReport("verify-all", [], {})
+    monkeypatch.setattr(qclab.verification, "run_verify_all", lambda *_, **__: empty)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SMALL_HARMONIC + _ALL_RUNS[subcommand])
+    run = [subcommand, "--config", str(cfg), "--out", str(out)]
+    if earlier:
+        assert main(run) in (0, 1)
+    files = lambda: {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    before = files()
+    if failing is None:
+        monkeypatch.setattr(VerificationReport, "to_json", _unencodable)
+    elif subcommand == "hj":  # _write and _wall_table both rewrite cfg
+        _write(tmp_path, _wall_table(tmp_path, 101, 0.0).read_text() + failing)
+    else:
+        _write(tmp_path, failing)
+    capsys.readouterr()
+    assert main(run) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qclab: ")
+    assert files() == before
+    assert list(tmp_path.glob(".out.*")) == []

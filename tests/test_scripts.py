@@ -50,6 +50,10 @@ def test_script_runs_with_default_arguments(monkeypatch, capsys, name, header):
          "need --levels >= 1 and --seed >= 0, got 0 and 20260814"),
         ("measurement_ensemble.py", ["--seed", "-1"],
          "need --levels >= 1 and --seed >= 0, got 8 and -1"),
+        ("harmonic_quantum_potential.py", ["--levels", "2400"],
+         "need --levels <= 2399 on this grid, got 2400"),
+        ("measurement_ensemble.py", ["--levels", "2400"],
+         "need --levels <= 2399 on this grid, got 2400"),
     ],
 )
 def test_out_of_range_arguments_exit_2_with_one_error_line(
