@@ -213,11 +213,22 @@ def _initial_state(config: RunConfig) -> WaveFunction:
 
 
 def _cmd_evolve(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
-    from .evolution import Observable, evolve, expectation
+    from .evolution import NORM_TOLERANCE, Observable, evolve, expectation
+    from .states import WaveFunction
 
     grid, constants = config.grid, config.constants
     v = config.potential.on_grid(grid, constants)
     psi0 = _initial_state(config)
+    # evolve holds the walls at zero, so a state that reaches them loses
+    # norm at the first step and expectation would refuse every slice after
+    inside = psi0.values.copy()
+    inside[[0, -1]] = 0.0
+    norm = WaveFunction(inside, grid).norm
+    if abs(norm - 1.0) > NORM_TOLERANCE:
+        raise ConfigError(
+            f"the initial state has norm {norm!r} inside the walls: for a Gaussian "
+            "packet, move evolve.center inward or narrow evolve.width"
+        )
     dt = config.get("evolve.dt")
     n_steps = config.get("evolve.n_steps")
     store_every = config.get("evolve.store_every")
@@ -646,6 +657,9 @@ def main(argv=None) -> int:
                 report = VerificationReport(args.subcommand, checks, metadata)
             (staging / "report.json").write_text(report.to_json())
             out.mkdir(exist_ok=True)
+            # a move that fails part-way must not leave an earlier run's
+            # report beside this run's files
+            (out / "report.json").unlink(missing_ok=True)
             for path in sorted(staging.iterdir(), key=lambda p: p.name == "report.json"):
                 os.replace(path, out / path.name)
     except ConfigError as exc:

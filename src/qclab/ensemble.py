@@ -292,8 +292,12 @@ class EnsembleResult:
     """Streaming summary of a classical ensemble run.
 
     histograms[k] counts sample positions in the grid's bins (edges =
-    grid points) at histogram_times[k].  Per-sample columns: the drawn
-    energy and the relative energy drift observed at stored slices.
+    grid points) at histogram_times[k].  sample_energies holds each
+    sample's drawn energy.  energy_drift holds one value per integrated
+    orbit, in launch order (level ascending, negative momentum first): the
+    largest relative energy drift observed at stored slices.  Each sample
+    follows its launch's orbit, so the largest entry is the largest drift
+    of any sample.
     """
 
     histogram_times: np.ndarray
@@ -325,9 +329,9 @@ def run_classical_ensemble(
     their whole orbit.  A launch is a (drawn level, sign) pair: launches
     are counted with np.bincount and each one drawn is integrated once,
     so a k-level spec has at most 2k orbits however many samples it
-    draws.  Histograms weight each orbit by its sample count, and the
-    drift column is scattered back, so every output equals that of
-    integrating all n_samples rows.
+    draws.  Histograms weight each orbit by its sample count, so they
+    equal those of integrating all n_samples rows; the drift is kept per
+    orbit.
 
     The orbits advance in lockstep through hamilton_jacobi.verlet_step
     without storing trajectories: histograms and energy drift are
@@ -340,7 +344,8 @@ def run_classical_ensemble(
     energies = spec.energies[launch]
     v0 = potential.energy(np.zeros(n_levels), constants)
     kinetic = spec.energies - v0  # per level
-    if np.any(kinetic[launch] < 0.0):
+    drawn = np.bincount(launch, minlength=n_levels) > 0  # per level
+    if np.any(kinetic[drawn] < 0.0):
         bad = int(np.argmin(kinetic[launch]))
         raise ValueError(
             f"sample {bad}: drawn energy {energies[bad]} lies below the "
@@ -350,7 +355,7 @@ def run_classical_ensemble(
     # each sample's launch key, 2 * level + (1 if its momentum is
     # positive), written over its drawn level
     launch *= 2
-    launch += rng.random(spec.n_samples) >= 0.5
+    launch += rng._fill(np.empty(spec.n_samples, dtype=bool), lambda u: u >= 0.5)
     counts = np.bincount(launch, minlength=2 * n_levels)
     keys = np.flatnonzero(counts)
     counts = counts[keys]
@@ -380,14 +385,12 @@ def run_classical_ensemble(
             hist_times[row] = k * dt
             histograms[row] = histogram(x)
 
-    drift_by_key = np.zeros(2 * n_levels)
-    drift_by_key[keys] = drift
     return EnsembleResult(
         histogram_times=hist_times,
         histograms=histograms,
         bin_edges=grid.x.copy(),
         sample_energies=energies,
-        energy_drift=drift_by_key[launch],
+        energy_drift=drift,
     )
 
 

@@ -39,7 +39,7 @@ from .states import WaveFunction
 from .stencils import gradient
 
 _IMAG_RESIDUE_TOL = 1e-10
-_NORM_TOL = 1e-6
+NORM_TOLERANCE = 1e-6  # |norm - 1| expectation accepts
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ def evolve(
     keep(index, slice) is called on each stored slice as it is produced,
     in order; a slice it returns False for is left out of `slices`, so a
     caller can drop slices it will not read, or reduce each one to what
-    it reads before the next is produced.  Every stored slice still
-    enters norm_history and energy_history.  By default all are kept.
+    it reads before the next is produced.  Each stored slice is a copy of
+    its own, so keep may hold it.  Every stored slice still enters
+    norm_history and energy_history.  By default all are kept.
     """
     check_run_arguments(dt, n_steps, store_every)
     grid = psi0.grid
@@ -102,12 +103,16 @@ def evolve(
     norms = [psi0.norm]
     energies = [rayleigh(psi0.values)]
 
+    # two buffers take turns: each step solves into the one that does
+    # not hold the current state
     v = psi0.values.astype(complex)
     v[[0, -1]] = 0.0
+    v_next = np.empty_like(v)
     for k in range(1, n_steps + 1):
-        v_next = solve(v.copy())
+        np.copyto(v_next, v)
+        solve(v_next)
         v_next -= v
-        v = v_next
+        v, v_next = v_next, v
         if k % store_every == 0 or k == n_steps:
             # the step is unitary, so a non-finite value can only come
             # in with the input; checking stored slices is enough
@@ -115,8 +120,9 @@ def evolve(
                 raise RuntimeError(
                     f"Crank-Nicolson solve produced non-finite values by step {k}"
                 )
-            # v is never written in place, so the slice can share it
-            w = WaveFunction(v, grid, psi0.time + k * dt)
+            # the buffers are overwritten by the next steps, so a stored
+            # slice is a copy
+            w = WaveFunction(v.copy(), grid, psi0.time + k * dt)
             if keep is None or keep(len(norms), w):
                 slices.append(w)
             norms.append(w.norm)
@@ -141,7 +147,7 @@ def expectation(
     unnormalized states (|norm - 1| > 1e-6).
     """
     norm = psi.norm
-    if abs(norm - 1.0) > _NORM_TOL:
+    if abs(norm - 1.0) > NORM_TOLERANCE:
         raise ValueError(
             f"expectation needs a normalized state, got norm {norm!r}"
         )

@@ -173,6 +173,64 @@ def phase_jump_guard(
     return phase
 
 
+class MadelungRows:
+    """Residual rows of the phase and continuity equations, fed one slice
+    at a time.
+
+    push(w) takes the series' next slice.  From the third slice on it
+    returns the rows (r_phase, r_continuity) of the slice before it, the
+    middle of the three it holds (see madelung_residuals for the rows);
+    before that it returns None.  Each slice is decomposed once, as it
+    arrives.  dt is the series' first interval, and every later interval
+    must equal it to rtol 1e-9.
+    """
+
+    def __init__(
+        self, potential_values: np.ndarray, constants: PhysicalConstants
+    ) -> None:
+        self._potential = potential_values
+        self._constants = constants
+        self._window = deque(maxlen=3)  # (slice, mask, guarded phase, ln lambda, v_q)
+        self._dt = None
+
+    def _prepare(self, w: WaveFunction):
+        p = decompose(w, self._constants)
+        safe = np.where(p.node_mask, 1.0, p.modulus)
+        log_lam = np.where(p.node_mask, np.nan, np.log(safe))
+        v_q = quantum_potential(p, self._constants)
+        return w, p.node_mask, phase_jump_guard(p, self._constants), log_lam, v_q
+
+    def push(self, w: WaveFunction) -> tuple[np.ndarray, np.ndarray] | None:
+        window = self._window
+        if not window:
+            if self._potential.shape != (w.grid.n_points,):
+                raise ValueError("potential_values must live on the series grid")
+        else:
+            step = w.time - window[-1][0].time
+            if self._dt is None:
+                self._dt = step
+            dt = self._dt
+            if not (dt > 0 and abs(step - dt) <= 1e-9 * dt):
+                raise ValueError("time slices must be uniformly spaced and increasing")
+        window.append(self._prepare(w))
+        if len(window) < 3:
+            return None
+        m, hbar = self._constants.mass, self._constants.hbar
+        dt, dx = self._dt, w.grid.dx
+        (prev, mask_prev, _, log_prev, _), middle, (_, mask_next, _, log_next, _) = window
+        _, _, guarded, log_lam, v_q = middle
+        grad_phi = gradient(guarded, dx)
+        lap_phi = second_derivative(guarded, dx)
+        grad_log = gradient(log_lam, dx)
+        dphi_dt = hbar * np.angle(w.values * np.conj(prev.values)) / (2.0 * dt)
+        # a masked neighbour slice must poison the time stencil too
+        dphi_dt[mask_prev | mask_next] = np.nan
+        dlog_dt = (log_next - log_prev) / (2.0 * dt)
+        r_phase = grad_phi**2 / (2.0 * m) + self._potential + v_q + dphi_dt
+        r_cont = lap_phi + 2.0 * grad_phi * grad_log + 2.0 * m * dlog_dt
+        return r_phase, r_cont
+
+
 def madelung_residuals(
     series: Sequence[WaveFunction],
     potential_values: np.ndarray,
@@ -192,50 +250,29 @@ def madelung_residuals(
     psi_{k+1} * conj(psi_{k-1}), which equals the central difference of
     Phi whenever the true phase advance over 2*dt stays below pi*hbar —
     no cross-slice branch bookkeeping needed.  Node masks, dilations and
-    branch-jump guards enter as NaN; three slices are held at a time.
+    branch-jump guards enter as NaN.  The rows come from MadelungRows, so
+    three slices' polar forms are held at a time; a caller that reads
+    less than every row, such as a peak, can feed MadelungRows itself and
+    hold no rows at all.
     """
     if len(series) < 3:
         raise ValueError("need at least 3 time slices for central differences")
-    times = np.array([w.time for w in series])
-    dts = np.diff(times)
-    dt = float(dts[0])
-    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("time slices must be uniformly spaced and increasing")
-    grid = series[0].grid
-    if potential_values.shape != (grid.n_points,):
-        raise ValueError("potential_values must live on the series grid")
-    m, hbar = constants.mass, constants.hbar
-
-    def prepare(w: WaveFunction):  # (node mask, guarded phase, ln lambda, v_q)
-        p = decompose(w, constants)
-        safe = np.where(p.node_mask, 1.0, p.modulus)
-        log_lam = np.where(p.node_mask, np.nan, np.log(safe))
-        v_q = quantum_potential(p, constants)
-        return p.node_mask, phase_jump_guard(p, constants), log_lam, v_q
-
-    window = deque(map(prepare, series[:2]), maxlen=3)
-    n_rows = len(series) - 2
-    r_phase = np.empty((n_rows, grid.n_points))
-    r_cont = np.empty((n_rows, grid.n_points))
-    for row in range(n_rows):
-        k = row + 1
-        window.append(prepare(series[k + 1]))
-        (mask_prev, _, log_prev, _), middle, (mask_next, _, log_next, _) = window
-        _, guarded, log_lam, v_q = middle
-        grad_phi = gradient(guarded, grid.dx)
-        lap_phi = second_derivative(guarded, grid.dx)
-        grad_log = gradient(log_lam, grid.dx)
-        dphi_dt = (
-            hbar
-            * np.angle(series[k + 1].values * np.conj(series[k - 1].values))
-            / (2.0 * dt)
-        )
-        # a masked neighbour slice must poison the time stencil too
-        dphi_dt[mask_prev | mask_next] = np.nan
-        dlog_dt = (log_next - log_prev) / (2.0 * dt)
-        r_phase[row] = grad_phi**2 / (2.0 * m) + potential_values + v_q + dphi_dt
-        r_cont[row] = lap_phi + 2.0 * grad_phi * grad_log + 2.0 * m * dlog_dt
+    rows = MadelungRows(potential_values, constants)
+    shape = (len(series) - 2, series[0].grid.n_points)
+    r_phase, r_cont = np.empty(shape), np.empty(shape)
+    for k, w in enumerate(series):
+        row = rows.push(w)
+        if row is not None:
+            r_phase[k - 2], r_cont[k - 2] = row
     return r_phase, r_cont
+
+
+def phase_residual_peak(r_phase: np.ndarray) -> float:
+    """max |r_phase| over a residual row's finite points; ValueError if
+    it has none."""
+    if not np.isfinite(r_phase).any():
+        raise ValueError("phase residual has no finite point: every point is on or beside a node")
+    return float(np.nanmax(np.abs(r_phase)))
 
 
 def phase_action_gap(
@@ -246,9 +283,7 @@ def phase_action_gap(
     """How far the classical HJ residual of the phase at series[1] is from
     -V_q: max |r_phase| of madelung_residuals on series[:3]."""
     r_phase, _ = madelung_residuals(series[:3], potential_values, constants)
-    if not np.isfinite(r_phase[0]).any():
-        raise ValueError("phase residual has no finite point: every point is on or beside a node")
-    return float(np.nanmax(np.abs(r_phase[0])))
+    return phase_residual_peak(r_phase[0])
 
 
 def inertial_deviations(

@@ -30,12 +30,14 @@ the calling thread, so checks and report rows keep that order.  That
 thread first computes every input of the three Crank-Nicolson evolutions
 they share (ground state, Ehrenfest packet, superposition) and hands the
 evolutions to a two-worker pool; all else is computed lazily on the
-calling thread.  Each intermediate holds only what its scenarios read:
-of the packet evolution, <x>(t), taken slice by slice as evolve produces
-them; of the ground evolution, the slices through one period plus one
-stride, with the norm history of all 10004 steps.  Wall-clock seconds
-per scenario go into the report's timing block, which is excluded from
-byte-identity comparisons.  An entry is the scenario's own work plus any
+calling thread.  Each intermediate holds only what its scenarios read,
+taken slice by slice on the worker as evolve produces them: of the
+packet evolution, <x>(t); of the ground evolution, the peaks of the
+Madelung residual rows within one period (MadelungRows, fed the slices
+through one period plus one stride), slice 0, the slice nearest one
+period, and the norm and energy histories of all 10004 steps.
+Wall-clock seconds per scenario go into the report's timing block,
+which is excluded from byte-identity comparisons.  An entry is the scenario's own work plus any
 wait for a prefetched evolution; the evolutions' inputs are in no entry.
 """
 from __future__ import annotations
@@ -68,10 +70,11 @@ from .hamilton_jacobi import (
     principal_function_slices,
 )
 from .madelung import (
+    MadelungRows,
     decompose,
     inertial_deviations,
     madelung_residuals,
-    phase_action_gap,
+    phase_residual_peak,
     quantum_potential,
     total_potential,
     verify_1d_amplitude_relation,
@@ -104,6 +107,26 @@ _BASIS_SIZE = 8
 _EHRENFEST_STEPS = 6283  # one period
 _PACKET_STRIDE = 20  # steps between stored Ehrenfest-packet slices
 _GROUND_STRIDE = 61  # steps between stored ground-evolution slices
+# the stored ground slice nearest one period: slice 103, at t = 6.283
+_PERIOD_SLICE = int(_PERIOD / (_GROUND_STRIDE * _DT))
+
+
+@dataclass(frozen=True)
+class GroundEvolution:
+    """What the checks read of the ground-state evolution, reduced on the
+    evolving thread as each stored slice is produced.
+
+    run keeps slice 0 and the slice nearest one period, with the norm and
+    energy histories of every stored slice.  phase_peak and
+    continuity_peak are max |r_phase| and max |r_continuity| over the
+    Madelung residual rows of slices 1 .. _PERIOD_SLICE; phase_action_gap
+    is the phase peak of the first of those rows alone.
+    """
+
+    run: EvolutionResult
+    phase_peak: float
+    continuity_peak: float
+    phase_action_gap: float
 
 
 @dataclass
@@ -156,26 +179,42 @@ class VerifyContext(CheckContext):
         return run() if future is None else future.result()
 
     @cached_property
-    def ground_evolution(self) -> EvolutionResult:
+    def ground_evolution(self) -> GroundEvolution:
         return self._prefetched(self._evolve_ground)
 
-    def _evolve_ground(self) -> EvolutionResult:
+    def _evolve_ground(self) -> GroundEvolution:
         # 10004 steps = 164 * 61: stored slices stay uniformly spaced,
         # slice 103 sits at t = 6.283 (one period to dt/5), and the
-        # horizon covers the 1e4-step norm-drift window.  The checks read
-        # slices through one period plus one stride (the madelung rows
-        # within a period need the slice after them), so later ones are
-        # dropped; the norm history still covers all 10004 steps.
-        kept = int(_PERIOD / (_GROUND_STRIDE * _DT)) + 2
-        return evolve(
+        # horizon covers the 1e4-step norm-drift window.  Slices 0 ..
+        # _PERIOD_SLICE + 1 feed the residual rows within one period, each
+        # row is reduced to its peaks, and only slices 0 and _PERIOD_SLICE
+        # are kept; the norm history still covers all 10004 steps.
+        rows = MadelungRows(self.harmonic_potential_values, self.constants)
+        peaks = np.full(2, np.nan)  # running max |r_phase|, |r_continuity|
+        gap = np.nan
+
+        def reduce(index: int, w: WaveFunction) -> bool:
+            nonlocal gap
+            if index <= _PERIOD_SLICE + 1:
+                row = rows.push(w)
+                if row is not None:
+                    if index == 2:  # the first row, slice 1's
+                        gap = phase_residual_peak(row[0])
+                    # fmax skips NaN as nanmax does, so the running peak
+                    # is nanmax over all rows, bit for bit
+                    np.fmax(peaks, [np.fmax.reduce(np.abs(r)) for r in row], out=peaks)
+            return index in (0, _PERIOD_SLICE)
+
+        run = evolve(
             self.harmonic_pairs[0].state,
             self.harmonic_potential_values,
             _DT,
             10004,
             self.constants,
             store_every=_GROUND_STRIDE,
-            keep=lambda index, _: index < kept,
+            keep=reduce,
         )
+        return GroundEvolution(run, float(peaks[0]), float(peaks[1]), gap)
 
     @cached_property
     def packet_positions(self) -> np.ndarray:
@@ -286,7 +325,7 @@ def criterion_quantum_potential_gap(ctx: VerifyContext) -> list[CheckResult]:
         ),
         ctx.check(
             "phase_action_gap_vs_vq",
-            phase_action_gap(ctx.ground_evolution.slices, v, ctx.constants),
+            ctx.ground_evolution.phase_action_gap,
             "evolved ground state, three consecutive stored slices",
         ),
     ]
@@ -320,23 +359,15 @@ def _two_state_residual_peaks(
 
 
 def criterion_madelung_residuals(ctx: VerifyContext) -> list[CheckResult]:
-    slices = ctx.ground_evolution.slices
-    # row k is slice k+1, so the rows within one period need one slice more
-    n_rows = sum(w.time <= _PERIOD + 1e-9 for w in slices[1:-1])
-    r_phase, r_cont = madelung_residuals(
-        slices[: n_rows + 2], ctx.harmonic_potential_values, ctx.constants
-    )
-    phase_max = float(np.nanmax(np.abs(r_phase)))
-    cont_max = float(np.nanmax(np.abs(r_cont)))
-
+    ground = ctx.ground_evolution
     coarse = _two_state_residual_peaks(ctx, 601)
     fine = _two_state_residual_peaks(ctx, 1201)
     order_phase = float(np.log2(coarse[0] / fine[0]))
     order_cont = float(np.log2(coarse[1] / fine[1]))
     evolved = "evolved ground state, dt=1e-3, slices within one period"
     return [
-        ctx.check("phase_equation_residual", phase_max, evolved),
-        ctx.check("continuity_equation_residual", cont_max, evolved),
+        ctx.check("phase_equation_residual", ground.phase_peak, evolved),
+        ctx.check("continuity_equation_residual", ground.continuity_peak, evolved),
         ctx.check(
             "residual_convergence_order",
             float(min(order_phase, order_cont)),
@@ -371,7 +402,7 @@ def criterion_amplitude_relation(ctx: VerifyContext) -> list[CheckResult]:
 
 
 def criterion_unitarity(ctx: VerifyContext) -> list[CheckResult]:
-    result = ctx.ground_evolution
+    result = ctx.ground_evolution.run
     drift = float(np.max(np.abs(result.norm_history - result.norm_history[0])))
     times = np.array([w.time for w in result.slices])
     k = int(np.argmin(np.abs(times - _PERIOD)))
@@ -407,6 +438,14 @@ def criterion_superposition_statistics(ctx: VerifyContext) -> list[CheckResult]:
     )
 
     quantum = energy_distribution(weights, pairs)
+    # the mismatched draw comes first, so its 1e5 energies are freed
+    # before the ensemble run makes its own
+    uniform_spec = EnsembleSpec(
+        energies, np.full(energies.size, 1.0 / energies.size), 100_000, ctx.seed
+    )
+    tv_mismatched = compare_energy_statistics(
+        quantum, draw_sample_energies(uniform_spec)
+    )
     probabilities = np.abs(weights.coefficients) ** 2
     matched_spec = EnsembleSpec(energies, probabilities, 100_000, ctx.seed)
     ensemble = run_classical_ensemble(
@@ -419,13 +458,6 @@ def criterion_superposition_statistics(ctx: VerifyContext) -> list[CheckResult]:
         store_every=100,
     )
     tv_matched = compare_energy_statistics(quantum, ensemble.sample_energies)
-
-    uniform_spec = EnsembleSpec(
-        energies, np.full(energies.size, 1.0 / energies.size), 100_000, ctx.seed
-    )
-    tv_mismatched = compare_energy_statistics(
-        quantum, draw_sample_energies(uniform_spec)
-    )
     max_drift = float(np.max(ensemble.energy_drift))
     return [
         ctx.check(

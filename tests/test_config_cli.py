@@ -1236,7 +1236,7 @@ _ALL_RUNS = {**_SMALL_RUNS, "hj-compare": "compare.scenario = harmonic-ground\n"
         *((name, None) for name in _ALL_RUNS),
         # characteristics leave the 101-point zero table after s_field_0000.csv
         ("hj", "hj.s0 = free\nhj.store_every = 10\n"),
-        # a packet cut by the wall is off norm one: expectation refuses it after the slices
+        # a packet cut by the wall is off norm one: refused before it is evolved
         ("evolve", "evolve.center = 19.9\nevolve.n_steps = 10\nevolve.store_every = 5\n"),
     ],
     ids=[*_ALL_RUNS, "hj-off-the-table", "evolve-cut-by-the-wall"],
@@ -1265,4 +1265,36 @@ def test_a_failed_run_leaves_out_as_it_was(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("qclab: ")
     assert files() == before
+    assert list(tmp_path.glob(".out.*")) == []
+
+
+def test_a_packet_cut_by_the_walls_is_refused_before_it_is_evolved(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*_, **__):
+        raise AssertionError("evolve was called")
+
+    monkeypatch.setattr(qclab.evolution, "evolve", never)
+    cfg = _write(tmp_path, "evolve.center = 19.9\n")  # the default grid ends at 20
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qclab: config error: ")
+    assert "evolve.center" in err[0] and "evolve.width" in err[0]
+    assert not out.exists()
+
+
+def test_a_move_that_fails_part_way_leaves_no_report_beside_the_files(tmp_path, capsys):
+    cfg = _write(tmp_path, SMALL_HARMONIC + _SMALL_RUNS["evolve"])
+    out = tmp_path / "out"
+    run = ["evolve", "--config", str(cfg), "--out", str(out)]
+    assert main(run) == 0
+    # a directory where the run moves its second slice stops the moves
+    (out / "slice_0001.csv").unlink()
+    (out / "slice_0001.csv").mkdir()
+    capsys.readouterr()
+    assert main(run) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Is a directory" in err[0]
+    assert not (out / "report.json").exists()
     assert list(tmp_path.glob(".out.*")) == []

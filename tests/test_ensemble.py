@@ -213,11 +213,12 @@ def test_a_large_ensemble_holds_its_outputs_and_the_draw(constants):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.sample_energies.size == result.energy_drift.size == n
-    # the two returned n-columns plus the draw: the level index of every
-    # sample (its uniforms come a bounded chunk at a time) and the sign
-    # draw's n-array of uniforms with its booleans, 4.125 x n x 8 B
-    assert peak < 4.5 * n * 8
+    assert result.sample_energies.size == n
+    assert result.energy_drift.size == 16  # one per orbit: 8 levels, 2 signs
+    # the returned energy column, each sample's launch key and its sign
+    # booleans, 2.125 x n x 8 B, plus the generator's working set, a
+    # bounded chunk of blocks (~0.63 MB) whatever n is
+    assert peak < 2.125 * n * 8 + 7e5
 
 
 def test_stored_histograms_are_held_once(constants):
@@ -263,8 +264,10 @@ def test_repeated_launches_equal_one_integrate_hamilton_per_state(potential, con
     )
     # the documented draw order: energies, then signs
     rng = np.random.Generator(np.random.Philox(spec.rng_seed))
-    drawn = spec.energies[rng.choice(3, size=spec.n_samples, p=spec.probabilities)]
-    signs = np.where(rng.random(spec.n_samples) < 0.5, -1.0, 1.0)
+    levels = rng.choice(3, size=spec.n_samples, p=spec.probabilities)
+    drawn = spec.energies[levels]
+    positive = rng.random(spec.n_samples) >= 0.5
+    signs = np.where(positive, 1.0, -1.0)
     v0 = potential.energy(0.0, constants)
     p0 = signs * np.sqrt(2.0 * constants.mass * (drawn - v0))
 
@@ -277,14 +280,18 @@ def test_repeated_launches_equal_one_integrate_hamilton_per_state(potential, con
             orbits[p] = integrate_hamilton(potential, 0.0, p, dt, n_steps, constants)
     assert len(orbits) == 6
     positions = np.array([orbits[p].positions for p in p0.tolist()]).T
-    momenta = np.array([orbits[p].momenta for p in p0.tolist()]).T
 
-    x_s, p_s = positions[stored], momenta[stored]
-    h = p_s * p_s / (2.0 * constants.mass) + potential.energy(x_s, constants)
+    # one drift per orbit, in launch order: level ascending, negative
+    # momentum first
+    launches = dict(zip(zip(levels.tolist(), positive.tolist()), p0.tolist()))
+    launch_p = [launches[key] for key in sorted(launches)]
+    x_o = np.array([orbits[p].positions for p in launch_p]).T[stored]
+    p_o = np.array([orbits[p].momenta for p in launch_p]).T[stored]
+    h = p_o * p_o / (2.0 * constants.mass) + potential.energy(x_o, constants)
     assert np.array_equal(result.energy_drift, np.max(np.abs(h - h[0]) / np.abs(h[0]), axis=0))
     assert result.histograms.dtype == np.int64
     assert len(result.histograms) == len(stored)
-    for hist, x in zip(result.histograms, x_s):
+    for hist, x in zip(result.histograms, positions[stored]):
         assert np.array_equal(hist, np.histogram(x, bins=grid.x)[0])
 
 

@@ -21,7 +21,9 @@ from qclab import (
     total_potential,
 )
 from qclab.madelung import (
+    MadelungRows,
     madelung_residuals,
+    phase_action_gap,
     phase_jump_guard,
     verify_1d_amplitude_relation,
     verify_modified_hj,
@@ -257,3 +259,55 @@ def test_madelung_residuals_need_uniform_times(harmonic_grid, constants):
     v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
     with pytest.raises(ValueError, match="uniform"):
         madelung_residuals(slices, v, constants)
+
+
+@pytest.mark.parametrize(
+    "times, potential_points, message",
+    [
+        ((0.0, 1e-3, 3e-3), 2401, "uniformly spaced and increasing"),
+        ((0.0, -1e-3, -2e-3), 2401, "uniformly spaced and increasing"),
+        ((0.0, 0.0, 0.0), 2401, "uniformly spaced and increasing"),
+        ((0.0, 1e-3, 2e-3), 2400, "potential_values must live on the series grid"),
+    ],
+    ids=["uneven", "backwards", "still", "other-grid"],
+)
+def test_streamed_rows_refuse_what_the_batch_refuses(
+    harmonic_grid, constants, times, potential_points, message
+):
+    phi0 = harmonic_eigenfunction(0, harmonic_grid, 1.0, constants).values
+    slices = [WaveFunction(phi0, harmonic_grid, t) for t in times]
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)[:potential_points]
+    with pytest.raises(ValueError, match=message):
+        madelung_residuals(slices, v, constants)
+    rows = MadelungRows(v, constants)
+    with pytest.raises(ValueError, match=message):
+        for w in slices:
+            rows.push(w)
+
+
+def test_streamed_rows_take_dt_from_the_first_interval(harmonic_grid, constants):
+    # evolve's slice times k * dt are uniform only to roundoff, so a dt
+    # taken from each window would move the rows in their last bits
+    phi0 = harmonic_eigenfunction(0, harmonic_grid, 1.0, constants).values
+    dt = 0.1
+    slices = [
+        WaveFunction(phi0 * np.exp(-0.5j * (k * dt)), harmonic_grid, k * dt)
+        for k in range(6)
+    ]
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
+    rows = MadelungRows(v, constants)
+    streamed = [row for row in map(rows.push, slices) if row is not None]
+    ref_phase, ref_cont = _residuals_from_lists(slices, v, constants)
+    assert np.array_equal([r for r, _ in streamed], ref_phase, equal_nan=True)
+    assert np.array_equal([r for _, r in streamed], ref_cont, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_phase_row_with_no_finite_point_is_refused(constants):
+    # with zero walls on four points every point is on or beside a node
+    grid = build_grid(-1.0, 1.0, 4)
+    values = np.array([0.0, 1.0, 1.0, 0.0])
+    slices = [WaveFunction(values * np.exp(-0.5j * t), grid, t) for t in (0.0, 0.1, 0.2)]
+    v = HarmonicPotential(1.0).on_grid(grid, constants)
+    with pytest.raises(ValueError, match="^phase residual has no finite point"):
+        phase_action_gap(slices, v, constants)

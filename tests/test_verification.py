@@ -27,7 +27,7 @@ from qclab import (
 from qclab.cli import main
 from qclab.config import RunConfig
 from qclab.hamilton_jacobi import free_characteristics_deviation, principal_function_slices
-from qclab.madelung import phase_action_gap
+from qclab.madelung import madelung_residuals, phase_action_gap
 from qclab.report import CHECKS
 from qclab.verification import CRITERIA, VerifyContext, run_verify_all
 
@@ -342,20 +342,41 @@ def test_the_free_characteristics_check_reads_only_valid_points(warm_context):
         free_characteristics_deviation(nowhere_valid, grid, dt, s_fn)
 
 
-def test_the_ground_evolution_keeps_one_period_and_one_stride(warm_context):
-    result = warm_context.ground_evolution
-    # stored every 61 steps: 165 slices in all, the checks read 0..104
-    assert len(result.norm_history) == len(result.energy_history) == 165
-    assert len(result.slices) == 105
-    assert result.slices[-1].time == pytest.approx(104 * 61 * 1e-3)
+def test_the_ground_evolution_keeps_one_period_and_one_stride():
+    ctx = make_context()
+    ctx.harmonic_pairs, ctx.harmonic_potential_values
+    held, _ = _traced(lambda: ctx.ground_evolution)
+    run = ctx.ground_evolution.run
+    # stored every 61 steps: 165 slices in all; slices 0..104 feed the
+    # residual rows within one period, and slices 0 and 103 are kept
+    assert len(run.norm_history) == len(run.energy_history) == 165
+    assert [w.time for w in run.slices] == pytest.approx([0.0, 103 * 61 * 1e-3])
+    # two slices and the histories, not the 105 slices (4 MB) the rows read
+    assert held < 3 * 2401 * 16
+
+
+def test_the_streamed_ground_reduction_equals_the_batch_residuals(warm_context):
+    ctx, v = warm_context, warm_context.harmonic_potential_values
+    ground = ctx.ground_evolution
+    slices = evolve(
+        ctx.harmonic_pairs[0].state, v, 1e-3, 104 * 61, ctx.constants, store_every=61
+    ).slices
+    r_phase, r_cont = madelung_residuals(slices, v, ctx.constants)
+    assert r_phase.shape == (103, 2401)
+    assert ground.phase_peak == float(np.nanmax(np.abs(r_phase)))
+    assert ground.continuity_peak == float(np.nanmax(np.abs(r_cont)))
+    assert ground.phase_action_gap == phase_action_gap(slices, v, ctx.constants)
+    for w, k in zip(ground.run.slices, (0, 103), strict=True):
+        assert w.time == slices[k].time and np.array_equal(w.values, slices[k].values)
 
 
 def test_the_madelung_scenario_holds_a_window_not_the_series(warm_context):
-    # the two residual arrays cover the 103 rows within one period; held
-    # for all 165 slices, the polar forms would add ~16 MB
+    # the ground rows are reduced as the evolution runs, so what remains is
+    # the two-state order measurement on 601 and 1201 points: less than
+    # one residual array over the 103 rows within a period
     rows = 103 * 2401 * 8
     _, peak = _traced(lambda: verification.criterion_madelung_residuals(warm_context))
-    assert peak < 6 * rows  # 11.9 MB
+    assert peak < rows
 
 
 def test_the_packet_intermediate_is_its_positions():
