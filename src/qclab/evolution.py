@@ -5,7 +5,8 @@ uses, one step is psi^{k+1} = (I + A)^{-1} (I - A) psi^k.  Hard walls
 (Dirichlet) enter as identity rows at both grid ends, decoupled from the
 interior, so the walls hold zero.  (I + A)/2 is factorized once per run
 by LAPACK zgttrf (`qclab.lapack.tridiagonal_solver`), and each step is
-one zgttrs solve and one subtraction in Cayley form,
+one zgttrs solve, bound to its buffer before the first step, and one
+subtraction in Cayley form,
 psi <- ((I + A)/2)^{-1} psi - psi, which equals the step above in exact
 arithmetic since I - A = 2I - (I + A).  Halving the matrix is exact, so
 the solve returns 2 (I + A)^{-1} psi bit for bit, with no doubling pass.
@@ -90,7 +91,7 @@ def evolve(
     off[[0, -1]] = 0.0
     diag *= 0.5
     off *= 0.5
-    solve = tridiagonal_solver(off, diag, off)
+    solver = tridiagonal_solver(off, diag, off)
 
     def rayleigh(values: np.ndarray) -> float:
         num = np.trapezoid(
@@ -104,15 +105,17 @@ def evolve(
     energies = [rayleigh(psi0.values)]
 
     # two buffers take turns: each step solves into the one that does
-    # not hold the current state
+    # not hold the current state, each by a solve bound to it once
     v = psi0.values.astype(complex)
     v[[0, -1]] = 0.0
     v_next = np.empty_like(v)
+    solve_v, solve_next = solver(v), solver(v_next)
     for k in range(1, n_steps + 1):
         np.copyto(v_next, v)
-        solve(v_next)
+        solve_next()
         v_next -= v
         v, v_next = v_next, v
+        solve_v, solve_next = solve_next, solve_v
         if k % store_every == 0 or k == n_steps:
             # the step is unitary, so a non-finite value can only come
             # in with the input; checking stored slices is enough

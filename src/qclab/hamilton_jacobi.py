@@ -15,7 +15,8 @@ trajectory per grid point launched with p0 = dS0/dx, each carrying
 S0(x0) plus its accumulated action, re-interpolated onto the grid at
 every time slice.  The reconstruction is single-valued only until
 characteristics cross (a caustic); slices from the first detected
-crossing onward are masked.
+crossing onward are masked.  caustic_step finds the first fully masked
+slice from the orbits' positions alone.
 """
 from __future__ import annotations
 
@@ -67,10 +68,11 @@ def verlet_step(
     """One velocity-Verlet update; returns (x, p, force at new x).
 
     The only position/momentum update in qclab: integrate_hamilton and
-    the characteristics sweep step with it through _verlet_with_action,
-    and run_classical_ensemble steps its batch of orbits with it
-    directly.  Arrays advance element-wise; the tests hold each ensemble
-    orbit to integrate_hamilton's scalar orbit bit for bit.
+    the characteristics sweep step with it through _verlet_with_action;
+    caustic_step steps the sweep's orbits, and run_classical_ensemble its
+    batch of orbits, with it directly.  Arrays advance element-wise; the
+    tests hold each ensemble orbit to integrate_hamilton's scalar orbit
+    bit for bit.
     """
     m = constants.mass
     p_half = p + 0.5 * dt * force
@@ -146,6 +148,21 @@ def free_principal_function(
     return s
 
 
+def _check_sweep(s0: np.ndarray, grid: Grid1D, dt: float, n_steps: int) -> None:
+    if s0.shape != (grid.n_points,):
+        raise ValueError("s0 must be sampled on the grid")
+    check_run_arguments(dt, n_steps)
+
+
+def _fan(positions: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """The points of x inside the fan of characteristics at positions,
+    or None once two of them have crossed (positions no longer strictly
+    increasing), which masks this slice and every later one whole."""
+    if np.any(np.diff(positions) <= 0.0):
+        return None
+    return (x >= positions[0]) & (x <= positions[-1])
+
+
 def principal_function_slices(
     potential: Potential,
     s0: np.ndarray,
@@ -164,12 +181,12 @@ def principal_function_slices(
     valid is False, and S NaN, outside the transported fan; the first
     step at which the endpoint ordering inverts (characteristics
     crossing — a caustic) and every later one are masked whole, and no
-    orbit is stepped past it.  The arguments are checked on the call,
-    before the first slice is asked for.
+    orbit is stepped past it.  A reader that wants only the first fully
+    masked step gets it from caustic_step, without the action or S.
+    The arguments are checked on the call, before the first slice is
+    asked for.
     """
-    if s0.shape != (grid.n_points,):
-        raise ValueError("s0 must be sampled on the grid")
-    check_run_arguments(dt, n_steps)
+    _check_sweep(s0, grid, dt, n_steps)
 
     def sweep() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         yield 0, np.array(s0, dtype=float), np.ones(grid.n_points, dtype=bool)
@@ -179,15 +196,42 @@ def principal_function_slices(
         next(steps)
         crossing = n_steps + 1
         for k, (pos, _, action) in enumerate(steps, start=1):
-            if np.any(np.diff(pos) <= 0.0):
+            inside = _fan(pos, grid.x)
+            if inside is None:
                 crossing = k
                 break
-            inside = (grid.x >= pos[0]) & (grid.x <= pos[-1])
             yield k, np.where(inside, np.interp(grid.x, pos, s0 + action), np.nan), inside
         for k in range(crossing, n_steps + 1):
             yield k, np.full(grid.n_points, np.nan), np.zeros(grid.n_points, dtype=bool)
 
     return sweep()
+
+
+def caustic_step(
+    potential: Potential,
+    s0: np.ndarray,
+    grid: Grid1D,
+    dt: float,
+    n_steps: int,
+    constants: PhysicalConstants,
+) -> int | None:
+    """The first step whose slice principal_function_slices yields fully
+    masked (characteristics have crossed, or no grid point is left inside
+    the fan), or None if no step up to n_steps is.
+
+    The orbits are the sweep's, stepped by verlet_step alone: no action
+    is accumulated and no S interpolated.  The arguments are checked as
+    the sweep checks them.
+    """
+    _check_sweep(s0, grid, dt, n_steps)
+    x, p = grid.x.copy(), gradient(s0, grid.dx)
+    force = potential.force(x, constants)
+    for k in range(1, n_steps + 1):
+        x, p, force = verlet_step(potential, x, p, force, dt, constants)
+        inside = _fan(x, grid.x)
+        if inside is None or not inside.any():
+            return k
+    return None
 
 
 def free_characteristics_deviation(

@@ -11,9 +11,13 @@ argument is followed by gfortran's trailing size_t length.
 
 `ctypes.CDLL` functions release the GIL for the length of each call, so
 solves on different threads run in parallel.  Each solver that
-`tridiagonal_solver` returns owns its factors, arguments and info slot.
+`tridiagonal_solver` returns owns its factors, arguments and info slot,
+and binds each right-hand side once, so a solve is one foreign call with
+arguments built beforehand.
 """
 import ctypes
+import functools
+from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -108,12 +112,15 @@ def dstein(d, e, w, iblock, isplit):
 
 def tridiagonal_solver(dl, d, du):
     """Factor tridiag(dl, d, du) once (LAPACK zgttrf, partial pivoting) and
-    return solve(b), which overwrites the complex n-vector b with the
-    solution of tridiag(dl, d, du) x = b (zgttrs) and returns it.
+    return solver(b), which binds the complex n-vector b: it returns a
+    call with no arguments that overwrites b with the solution of
+    tridiag(dl, d, du) x = b (zgttrs).
 
-    The arguments of every solve are built here, once, so a solve costs
-    one foreign call.  A solver may be used from any thread, by one at a
-    time.  Raises RuntimeError if U is exactly singular.
+    b is checked once, when it is bound, and every argument of the call
+    is built then, so each solve is one foreign call.  The bound call
+    holds b alive.  A solver and its bound calls may be used from any
+    thread, by one at a time.  Raises RuntimeError if U is exactly
+    singular.
     """
     # copies: zgttrf writes the factors over them
     d = _input(d, np.complex128, np.size(d), "d").copy()
@@ -129,10 +136,9 @@ def tridiagonal_solver(dl, d, du):
         raise RuntimeError(f"tridiagonal factorization failed (zgttrf info {ints[3]})")
     head = (b"N", n_, nrhs_, *factors)
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def solver(b: np.ndarray) -> Callable[[], None]:
         if b.dtype != np.complex128 or b.shape != (n,) or not b.flags.carray:
             raise ValueError(f"b must be a writeable contiguous complex ({n},) array")
-        _zgttrs(*head, b.ctypes.data, ldb_, info_, 1)
-        return b
+        return functools.partial(_zgttrs, *head, _pointer(b), ldb_, info_, 1)
 
-    return solve
+    return solver

@@ -35,7 +35,10 @@ taken slice by slice on the worker as evolve produces them: of the
 packet evolution, <x>(t); of the ground evolution, the peaks of the
 Madelung residual rows within one period (MadelungRows, fed the slices
 through one period plus one stride), slice 0, the slice nearest one
-period, and the norm and energy histories of all 10004 steps.
+period, and the norm and energy histories of all 10004 steps.  The
+characteristics scenario takes the caustic from the rest-release orbits'
+positions alone (hamilton_jacobi.caustic_step), with no action or S, so
+the calling thread's work after the evolutions is short.
 Wall-clock seconds per scenario go into the report's timing block,
 which is excluded from byte-identity comparisons.  An entry is the scenario's own work plus any
 wait for a prefetched evolution; the evolutions' inputs are in no entry.
@@ -64,6 +67,7 @@ from .ensemble import (
 from .evolution import EvolutionResult, Observable, evolve, expectation
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
+    caustic_step,
     free_characteristics_deviation,
     free_principal_function,
     integrate_hamilton,
@@ -489,10 +493,9 @@ def criterion_characteristics(ctx: VerifyContext) -> list[CheckResult]:
     free_check = ctx.check("characteristics_free_error", deviation, "100 steps, dt=1e-3")
 
     grid_h = ctx.harmonic_grid
-    rest = principal_function_slices(
+    caustic = caustic_step(
         HarmonicPotential(_OMEGA), np.zeros(grid_h.n_points), grid_h, _DT, 1600, ctx.constants
     )
-    caustic = next((k for k, _, valid in rest if not valid.any()), None)
     if caustic is None:
         caustic_steps = float("inf")
         detail = "no caustic detected within the horizon"

@@ -219,7 +219,8 @@ for n in (3, 41, 2401):
     dl, dd, du, rhs = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
                        for size in (n - 1, n, n - 1, n))
     x = ref.zgttrs(*ref.zgttrf(dl, dd, du)[:-1], rhs)[0]
-    y = ours.tridiagonal_solver(dl, dd, du)(rhs.copy())
+    y = rhs.copy()
+    ours.tridiagonal_solver(dl, dd, du)(y)()
     same.append(x.tobytes() == y.tobytes())
 print(all(same), end=' ')"""
     assert _probe(code) == "True True True"
@@ -249,13 +250,61 @@ def test_a_solver_refuses_arrays_lapack_would_misread():
 
     with pytest.raises(ValueError, match="dl must have shape"):
         tridiagonal_solver(np.ones(3), np.full(3, 4.0), np.ones(2))
-    solve = tridiagonal_solver(np.ones(2), np.full(3, 4.0), np.ones(2))
-    frozen = np.ones(3, dtype=complex)
-    frozen.flags.writeable = False
-    for b in (np.ones(3), np.ones(4, dtype=complex), np.ones(6, dtype=complex)[::2], frozen):
-        with pytest.raises(ValueError, match="writeable contiguous complex"):
-            solve(b)
-    assert np.allclose(solve(np.array([5.0, 6.0, 5.0], dtype=complex)), 1.0)
+    solver = tridiagonal_solver(np.ones(2), np.full(3, 4.0), np.ones(2))
+    read_only = np.ones(3, dtype=complex)
+    read_only.flags.writeable = False
+    misfits = {
+        "real": np.ones(3),
+        "wrong shape": np.ones(4, dtype=complex),
+        "strided": np.ones(6, dtype=complex)[::2],
+        "read-only": read_only,
+    }
+    refusal = r"^b must be a writeable contiguous complex \(3,\) array$"
+    for name, b in misfits.items():
+        with pytest.raises(ValueError, match=refusal):
+            solver(b)  # refused when bound: a bound call checks nothing
+            pytest.fail(f"a {name} b was bound")
+
+
+def test_a_bound_solve_overwrites_its_buffer_on_each_call():
+    from qclab.lapack import tridiagonal_solver
+
+    b = np.array([5.0, 6.0, 5.0], dtype=complex)
+    solve = tridiagonal_solver(np.ones(2), np.full(3, 4.0), np.ones(2))(b)
+    assert solve() is None and np.allclose(b, 1.0)
+    # the bound call solves whatever b holds when it runs
+    b[:] = [10.0, 12.0, 10.0]
+    solve()
+    assert np.allclose(b, 2.0)
+
+
+def test_evolve_steps_as_a_plain_scipy_loop():
+    # 50 steps on the 2401-point grid against copy -> scipy zgttrs ->
+    # subtract, on the factors of the matrix evolve hands the solver:
+    # the bound ping-pong buffers change no bit of any stored slice
+    pytest.importorskip("scipy")  # the reference is a test dependency
+    code = """import numpy as np
+import scipy.linalg.lapack as ref
+import qclab.evolution as ev
+from qclab import HarmonicPotential, PhysicalConstants, build_grid, gaussian_packet
+grid, unit = build_grid(-12.0, 12.0, 2401), PhysicalConstants()
+matrix = []
+bind = ev.tridiagonal_solver
+ev.tridiagonal_solver = lambda *tridiag: matrix.append(tridiag) or bind(*tridiag)
+psi0 = gaussian_packet(grid, -1.0, 2.0, 0.5, unit)
+v = HarmonicPotential(1.0).on_grid(grid, unit)
+run = ev.evolve(psi0, v, 1e-3, 50, unit)
+factors = ref.zgttrf(*matrix[0])[:-1]
+psi = psi0.values.astype(complex)
+psi[[0, -1]] = 0.0
+same = [len(matrix) == 1, len(run.slices) == 51]
+for k in range(1, 51):
+    nxt, info = ref.zgttrs(*factors, psi.copy())
+    nxt -= psi
+    psi = nxt
+    same.append(info == 0 and run.slices[k].values.tobytes() == psi.tobytes())
+print(all(same), end=' ')"""
+    assert _probe(code) == "True True True"
 
 
 def test_eigenstate_rotates_at_the_cayley_angle(harmonic_setup, constants):

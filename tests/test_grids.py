@@ -18,7 +18,7 @@ from qclab import (
     run_classical_ensemble,
 )
 from qclab.grids import check_run_arguments
-from qclab.hamilton_jacobi import principal_function_slices
+from qclab.hamilton_jacobi import caustic_step, principal_function_slices
 
 
 def test_grid_is_uniform_and_inclusive():
@@ -96,6 +96,9 @@ _RUNNERS = {
     "characteristics": lambda dt, n, every: principal_function_slices(
         FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT
     ),
+    "caustic_step": lambda dt, n, every: caustic_step(
+        FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT
+    ),
     "ensemble": lambda dt, n, every: run_classical_ensemble(
         EnsembleSpec(np.array([0.5]), np.array([1.0]), 4, 0),
         FreePotential(), _GRID, dt, n, _UNIT, store_every=every,
@@ -116,8 +119,8 @@ _BAD_ARGUMENTS = {
         (runner, arguments)
         for runner in _RUNNERS
         for arguments in _BAD_ARGUMENTS
-        # integrate_hamilton and the characteristics sweep cover every
-        # step and take no stride
+        # integrate_hamilton, the characteristics sweep and caustic_step
+        # cover every step and take no stride
         if arguments != "store_every=0" or runner in ("evolve", "ensemble")
     ],
 )

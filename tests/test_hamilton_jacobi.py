@@ -19,6 +19,7 @@ from qclab.grids import PhysicalConstants
 from qclab.hamilton_jacobi import (
     Trajectory,
     _verlet_with_action,
+    caustic_step,
     principal_function_slices,
 )
 from qclab.stencils import gradient
@@ -188,6 +189,37 @@ def test_an_empty_fan_before_the_crossing_is_the_first_masked_step(constants):
     assert np.array_equal(steps, np.arange(n_steps + 1))
 
 
+def _rest_release(half_width, n_points, dt, n_steps):
+    grid = build_grid(-half_width, half_width, n_points)
+    return HarmonicPotential(1.0), np.zeros(n_points), grid, dt, n_steps
+
+
+def _free_launch(energy, half_width, n_points, dt, n_steps):
+    grid = build_grid(-half_width, half_width, n_points)
+    s0 = np.asarray(free_principal_function(energy, PhysicalConstants())(grid.x, 0.0))
+    return FreePotential(), s0, grid, dt, n_steps
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        (_rest_release(5.0, 401, 1e-2, 200), 158),
+        (_rest_release(12.0, 2401, 1e-3, 1600), 1571),
+        # p = 1 on [-20, 20]: the fan slides 0.3 in 30 steps and never crosses
+        (_free_launch(0.5, 20.0, 2001, 1e-2, 30), None),
+        # p = 10 on [-1, 1]: the fan's left edge reaches x = 1 at step 4
+        # (t = 0.2) and has left the grid at step 5; a free fan never crosses
+        (_free_launch(50.0, 1.0, 21, 0.05, 20), 5),
+    ],
+    ids=["rest-release-401", "rest-release-2401", "free-never-crosses", "free-slides-off"],
+)
+def test_caustic_step_is_the_sweeps_first_fully_masked_slice(constants, case, expected):
+    slices = principal_function_slices(*case, constants)
+    first = next((k for k, _, valid in slices if not valid.any()), None)
+    assert first == expected
+    assert caustic_step(*case, constants) == expected
+
+
 def test_sweep_memory_is_its_output_not_the_orbits(constants):
     # 1601 slices x 1201 points: iterating the rest-release sweep holds a
     # few slice-sized arrays at a time (the orbits' positions, momenta,
@@ -279,8 +311,9 @@ def test_characteristics_validate_s0_shape(constants):
     # on the call, before any slice is asked for; run arguments are
     # checked alike in test_grids.py
     grid = build_grid(-1.0, 1.0, 11)
-    with pytest.raises(ValueError, match="grid"):
-        principal_function_slices(FreePotential(), np.zeros(7), grid, 0.1, 3, constants)
+    for sweep in (principal_function_slices, caustic_step):
+        with pytest.raises(ValueError, match="grid"):
+            sweep(FreePotential(), np.zeros(7), grid, 0.1, 3, constants)
 
 
 def test_trajectory_field_consistency():

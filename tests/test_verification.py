@@ -307,8 +307,9 @@ def _traced(compute):
 
 
 def test_the_characteristics_scenario_keeps_the_caustic_sweep_small(warm_context):
-    # both sweeps are read slice by slice: below one 101 x 4001 free
-    # field, which the stored sweep held along with its mask
+    # the free sweep is read slice by slice and the caustic comes from
+    # the orbits' positions alone: below one 101 x 4001 free field,
+    # which the stored sweep held along with its mask
     free_field = 101 * 4001 * 8
     _, peak = _traced(lambda: verification.criterion_characteristics(warm_context))
     assert peak < free_field  # 3.23 MB
