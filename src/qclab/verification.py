@@ -25,28 +25,34 @@ Checks compare a measured number against a tolerance with an explicit
 direction; report.CHECKS declares each check once, and VerifyContext
 extends report.CheckContext, which holds the run's tolerances.
 
-verify-all runs the scenarios one after another, in CRITERIA order, on
-the calling thread, so checks and report rows keep that order.  That
-thread first computes every input of the three Crank-Nicolson evolutions
-they share (ground state, Ehrenfest packet, superposition) and hands the
-evolutions to a two-worker pool; all else is computed lazily on the
-calling thread.  Each intermediate holds only what its scenarios read,
-taken slice by slice on the worker as evolve produces them: of the
+verify-all runs every scenario on the calling thread and forks the three
+Crank-Nicolson evolutions they share (ground state, Ehrenfest packet,
+superposition) into two child processes, which share no GIL with it.
+The calling thread first computes every input of the evolutions, then
+forks one child for the ground evolution and one for the packet and then
+the superposition; all else is computed lazily on the calling thread.
+It runs the scenarios that do not read the ground evolution while that
+child steps, then the three that do; checks and report rows keep
+CRITERIA order.  Each intermediate holds only what its scenarios read,
+taken slice by slice in its child as evolve produces them: of the
 packet evolution, <x>(t); of the ground evolution, the peaks of the
 Madelung residual rows within one period (MadelungRows, fed the slices
 through one period plus one stride), slice 0, the slice nearest one
 period, and the norm and energy histories of all 10004 steps.  The
 characteristics scenario takes the caustic from the rest-release orbits'
-positions alone (hamilton_jacobi.caustic_step), with no action or S, so
-the calling thread's work after the evolutions is short.
+positions alone (hamilton_jacobi.caustic_step), with no action or S.
+Without os.fork nothing is forked, and each evolution is computed on
+first read, on the calling thread, by the same code to the same bits.
 Wall-clock seconds per scenario go into the report's timing block,
 which is excluded from byte-identity comparisons.  An entry is the scenario's own work plus any
-wait for a prefetched evolution; the evolutions' inputs are in no entry.
+wait for a forked evolution; the evolutions' inputs are in no entry.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -115,10 +121,28 @@ _GROUND_STRIDE = 61  # steps between stored ground-evolution slices
 _PERIOD_SLICE = int(_PERIOD / (_GROUND_STRIDE * _DT))
 
 
+def _serve(runs, writers) -> None:
+    """In a forked child: run each evolution and pickle its outcome, its
+    result or the exception it raised, to its pipe; then leave by os._exit,
+    never returning into the caller's frames."""
+    status = 1
+    try:
+        for run, writer in zip(runs, writers):
+            try:
+                outcome = (True, run())
+            except Exception as exc:  # the parent re-raises it
+                outcome = (False, exc)
+            with open(writer, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 @dataclass(frozen=True)
 class GroundEvolution:
-    """What the checks read of the ground-state evolution, reduced on the
-    evolving thread as each stored slice is produced.
+    """What the checks read of the ground-state evolution, reduced as each
+    stored slice is produced.
 
     run keeps slice 0 and the slice nearest one period, with the norm and
     energy histories of every stored slice.  phase_peak and
@@ -140,10 +164,19 @@ class VerifyContext(CheckContext):
     The eigensolve and the three Crank-Nicolson evolutions are computed
     once and reused by every criterion that needs them.  Each is computed
     on first read, on the reading thread, except an evolution that
-    prefetch has handed to a pool: reading it waits for that run.
+    prefetch has forked: its first read waits for the child's outcome,
+    and every read returns that result or raises that exception.
+    cached_property makes concurrent first readers share one read up to
+    Python 3.11; from 3.12, where it takes no lock, a reader that comes
+    while the pipe is read evolves the state itself.  close() kills and
+    reaps every child.
     """
 
-    _futures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # evolution name -> (child pid, read end of its result's pipe), until read
+    _forks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # evolution name -> (True, result) or (False, exception), once read
+    _outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _children: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @cached_property
     def wide_grid(self) -> Grid1D:
@@ -170,17 +203,74 @@ class VerifyContext(CheckContext):
         h = assemble_hamiltonian(HarmonicPotential(_OMEGA), grid, self.constants)
         return solve_lowest_eigenpairs(h, 1)[0]
 
-    def prefetch(self, pool) -> list:
-        """Compute the evolutions' inputs on this thread, then submit the
-        evolutions to pool in the order the scenarios first read them."""
+    def prefetch(self) -> None:
+        """Compute the evolutions' inputs on this thread, then fork one
+        child for the ground evolution and one for the packet and then the
+        superposition; without os.fork, fork nothing.
+
+        Call it before any Python thread starts: a forked child holds a
+        copy of every lock as it was.  From Python 3.12 os.fork warns
+        (DeprecationWarning) when the process has other OS threads, and
+        numpy's OpenBLAS pool is such a thread.  Every module the
+        children use is imported with this one.
+        """
+        if not hasattr(os, "fork"):
+            return
         self.harmonic_pairs, self.harmonic_potential_values, self.superposition_state
-        for run in (self._evolve_ground, self._evolve_packet, self._evolve_superposition):
-            self._futures[run.__name__] = pool.submit(run)
-        return list(self._futures.values())
+        for runs in ((self._evolve_ground,), (self._evolve_packet, self._evolve_superposition)):
+            pipes = [os.pipe() for _ in runs]
+            pid = os.fork()
+            if pid == 0:
+                # no read end stays open here, so a write whose reader is
+                # gone fails rather than blocks
+                for fd in [r for r, _ in pipes] + [r for _, r in self._forks.values()]:
+                    os.close(fd)
+                _serve(runs, [writer for _, writer in pipes])
+            self._children.add(pid)
+            for run, (reader, writer) in zip(runs, pipes):
+                os.close(writer)
+                self._forks[run.__name__] = (pid, reader)
 
     def _prefetched(self, run):
-        future = self._futures.get(run.__name__)
-        return run() if future is None else future.result()
+        name = run.__name__
+        if name in self._forks:
+            self._outcomes[name] = self._receive(name, *self._forks.pop(name))
+        if name not in self._outcomes:
+            return run()
+        ok, value = self._outcomes[name]
+        if not ok:
+            raise value
+        return value
+
+    def _receive(self, name: str, pid: int, reader: int) -> tuple:
+        """The outcome the child pickled to reader, or a RuntimeError that
+        names the evolution when the child wrote none."""
+        with open(reader, "rb") as pipe:
+            data = pipe.read()
+        try:
+            return pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            pass
+        ending = "ended"
+        if pid in self._children:  # not reaped after an earlier missing result
+            self._children.remove(pid)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            ending = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
+        evolution = name.removeprefix("_evolve_")
+        return False, RuntimeError(
+            f"the {evolution} evolution's process {ending} without a result"
+        )
+
+    def close(self) -> None:
+        """Drop every unread result, then SIGKILL and reap every child;
+        a child that has written all its results is exiting already."""
+        for _, reader in self._forks.values():
+            os.close(reader)
+        self._forks.clear()
+        for pid in self._children:
+            os.kill(pid, signal.SIGKILL)
+        while self._children:
+            os.waitpid(self._children.pop(), 0)
 
     @cached_property
     def ground_evolution(self) -> GroundEvolution:
@@ -539,6 +629,7 @@ CRITERIA: list[tuple[str, object]] = [
     ("characteristics-solver", criterion_characteristics),
     ("rerun-determinism", criterion_rerun_determinism),
 ]
+_READS_GROUND = {"quantum-potential-gap", "madelung-residuals", "unitarity-stationarity"}
 
 
 def make_context(
@@ -556,9 +647,11 @@ def run_verify_all(
     """Run every canonical scenario; one report, one row per check.
 
     The calling thread computes the three Crank-Nicolson evolutions'
-    inputs, submits the evolutions to a two-worker pool, then runs the
-    scenarios in CRITERIA order with every other intermediate computed
-    lazily on it; a scenario that reads an evolution waits for it.
+    inputs and forks them into two children (VerifyContext.prefetch),
+    then runs the scenarios with every other intermediate computed lazily
+    on it: first those that do not read the ground evolution, then the
+    three that do; a scenario that reads an evolution waits for it.  On
+    any exit, KeyboardInterrupt included, no child outlives the call.
     """
     ctx = make_context(config, tolerance_scale)
     report = VerificationReport(
@@ -571,17 +664,17 @@ def run_verify_all(
             "tolerances": {k: ctx.tolerances[k] for k in sorted(ctx.tolerances)},
         },
     )
-    # the workers read only inputs prefetch finished before the first
-    # submit; their LAPACK solves run without the GIL, so they overlap
-    pool = ThreadPoolExecutor(max_workers=2)
+    # the scenarios that read the ground evolution run last, so the others
+    # overlap it; rows and timing keys keep CRITERIA order
+    results = {}
     try:
-        futures = ctx.prefetch(pool)
-        for scenario_id, builder in CRITERIA:
+        ctx.prefetch()
+        for scenario_id, builder in sorted(CRITERIA, key=lambda c: c[0] in _READS_GROUND):
             started = time.perf_counter()
-            report.checks.extend(builder(ctx))
-            report.timing[scenario_id] = time.perf_counter() - started
-        for future in futures:
-            future.result()  # no worker error goes unreported
+            results[scenario_id] = builder(ctx), time.perf_counter() - started
     finally:
-        pool.shutdown(cancel_futures=True)
+        ctx.close()
+    for scenario_id, _ in CRITERIA:
+        checks, report.timing[scenario_id] = results[scenario_id]
+        report.checks.extend(checks)
     return report

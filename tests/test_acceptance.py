@@ -11,10 +11,12 @@ n = 4) sits below the second-order stencil defect of this discretization
 row is kept at its stated tolerance rather than widened.
 """
 import json
+import os
 import time
 
 import pytest
 
+from qclab import verification
 from qclab.cli import main
 from qclab.verification import CRITERIA, make_context
 
@@ -136,16 +138,39 @@ def test_criterion_11_rerun_determinism(criterion_results):
     _gate(criterion_results, 11, "rerun-determinism")
 
 
-def test_criterion_11_reports_are_byte_identical(tmp_path):
-    # the whole canonical run, twice, through the real entry point:
-    # identical reports once the timestamp/runtime block is dropped
-    texts = []
-    for name in ("first", "second"):
-        out = tmp_path / name
-        status = main(["verify-all", "--out", str(out)])
-        assert status in (0, 1)  # red rows are analyzed, not masked
-        payload = json.loads((out / "report.json").read_text())
-        payload.pop("generated_at")
-        payload.pop("timing")
-        texts.append(json.dumps(payload, indent=2, sort_keys=True))
-    assert texts[0] == texts[1]
+def _verify_all_payload(out) -> str:
+    """report.json of a verify-all run through the real entry point, with
+    the timestamp/runtime block dropped."""
+    status = main(["verify-all", "--out", str(out)])
+    assert status in (0, 1)  # red rows are analyzed, not masked
+    payload = json.loads((out / "report.json").read_text())
+    payload.pop("generated_at")
+    payload.pop("timing")
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def forked_payload(tmp_path_factory):
+    """One canonical run, its evolutions forked into child processes."""
+    return _verify_all_payload(tmp_path_factory.mktemp("forked") / "out")
+
+
+def test_criterion_11_reports_are_byte_identical(tmp_path, forked_payload):
+    # the whole canonical run, twice: identical reports
+    assert _verify_all_payload(tmp_path / "second") == forked_payload
+
+
+def test_verify_all_without_fork_matches_the_forked_run(monkeypatch, tmp_path, forked_payload):
+    # without os.fork every evolution runs lazily on the calling thread,
+    # by the same code, to the same bits
+    steps = []
+    real_evolve = verification.evolve
+
+    def evolve_here(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        steps.append(n_steps)
+        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve", evolve_here)
+    monkeypatch.delattr(os, "fork")
+    assert _verify_all_payload(tmp_path / "serial") == forked_payload
+    assert sorted(steps) == [1000, 6283, 10004]

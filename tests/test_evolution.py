@@ -82,7 +82,7 @@ def _probe(code: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    # concurrent.futures is imported by verify-all's thread pool, on first use
+    # no qclab module imports concurrent.futures: verify-all forks its evolutions
     code = "import qclab.cli; print('concurrent.futures' in sys.modules, end=' ')"
     assert _probe(code) == "False False False"
 

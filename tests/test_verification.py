@@ -1,13 +1,14 @@
 """The verification context: tolerance table, overrides, scale semantics,
-and the once-only intermediates, of which verify-all's two-worker pool
-computes only the three evolutions."""
+and the once-only intermediates, of which verify-all's two forked
+children compute only the three evolutions."""
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from pathlib import Path
 
@@ -109,24 +110,60 @@ def test_scale_applies_after_overrides():
     assert ctx.tolerances["norm_drift"] == pytest.approx(6e-9)
 
 
+def _log(path, *fields) -> None:
+    """Append one line to path: this process's pid, then fields; the
+    forked children write to it too."""
+    with open(path, "a") as fh:
+        fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+
+def _logged(path) -> list[tuple[int, str]]:
+    lines = path.read_text().splitlines()
+    return [(int(pid), rest) for pid, rest in (line.split(" ", 1) for line in lines)]
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.fixture(scope="module")
-def threaded_run():
-    """One verify-all run with every evolve call counted."""
-    calls = []
+def threaded_run(tmp_path_factory):
+    """One verify-all run with every evolve call and every intermediate's
+    compute logged with its process, and whether any child was left."""
+    log = tmp_path_factory.mktemp("run") / "log"
     real_evolve = verification.evolve
 
     def counting_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        calls.append(n_steps)
+        _log(log, "evolve", n_steps)
         return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "evolve", counting_evolve)
+        for name, prop in list(vars(VerifyContext).items()):
+            if isinstance(prop, cached_property):
+
+                def recorded(ctx, compute=prop.func, name=name):
+                    _log(log, name)
+                    return compute(ctx)
+
+                wrapped = cached_property(recorded)
+                wrapped.__set_name__(VerifyContext, name)
+                mp.setattr(VerifyContext, name, wrapped)
         report = run_verify_all()
-    return report, calls
+        no_child_left = _no_child_left()
+    return report, _logged(log), no_child_left
+
+
+def _evolve_calls(logged) -> list[tuple[int, int]]:
+    return [(pid, int(what.split()[1])) for pid, what in logged if what.startswith("evolve ")]
 
 
 def test_threaded_run_matches_serial_builders(threaded_run):
-    report, _ = threaded_run
+    report, _, _ = threaded_run
     ctx = make_context()
     serial = [check for _, builder in CRITERIA for check in builder(ctx)]
     assert report.checks == serial
@@ -134,104 +171,162 @@ def test_threaded_run_matches_serial_builders(threaded_run):
 
 
 def test_threaded_run_evolves_each_state_once(threaded_run):
-    _, calls = threaded_run
-    assert sorted(calls) == [1000, 6283, 10004]
+    _, logged, no_child_left = threaded_run
+    calls = sorted(n_steps for _, n_steps in _evolve_calls(logged))
+    assert calls == [1000, 6283, 10004]
     assert sum(calls) == 17_287
+    assert no_child_left
 
 
-def test_pool_has_two_workers_and_starts_after_lapack_loads():
+def test_verify_all_forks_twice_after_lapack_loads():
     # a fresh interpreter, so no scipy is loaded by earlier tests; the
     # LAPACK bindings load with qclab.verification, and import no scipy;
-    # the first submit records the pool size and what is loaded, then
-    # stops the run
+    # each fork records what is loaded and how many threads run
     src = Path(qclab.__file__).resolve().parent.parent
     code = f"""
-import sys
+import os, sys, threading
 sys.path.insert(0, {str(src)!r})
-from concurrent.futures import ThreadPoolExecutor
 from qclab.verification import run_verify_all
 
 def loaded():
     scipy = any(name.startswith("scipy") for name in sys.modules)
-    return "qclab.lapack" in sys.modules, scipy
+    futures = "concurrent.futures" in sys.modules
+    return "qclab.lapack" in sys.modules, scipy, futures, threading.active_count()
 
-class Stop(Exception):
-    pass
+real_fork = os.fork
 
-def submit(self, fn, *args, **kwargs):
-    print(self._max_workers, *loaded())
-    raise Stop
+def fork():
+    print(*loaded(), flush=True)
+    return real_fork()
 
-ThreadPoolExecutor.submit = submit
-print(*loaded())
-try:
-    run_verify_all()
-except Stop:
-    pass
+os.fork = fork
+print(*loaded(), flush=True)
+run_verify_all()
 """
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out.splitlines() == ["True False", "2 True False"]
+    assert out.splitlines() == ["True False False 1"] * 3
+
+
+def _exits_2_with_one_line(argv, capsys, line) -> None:
+    threads = threading.active_count()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"qclab: {line}"]
+    assert threading.active_count() == threads
+    assert _no_child_left()
+
+
+def _failing_evolve(monkeypatch, failing_steps, fail):
+    real_evolve = verification.evolve
+
+    def failing_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        if n_steps == failing_steps:
+            fail()
+        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve", failing_evolve)
+
+
+def _raise(message):
+    def fail():
+        raise RuntimeError(message)
+
+    return fail
 
 
 def test_worker_error_exits_2_with_one_line_and_no_thread_left(
     monkeypatch, tmp_path, capsys
 ):
+    _failing_evolve(monkeypatch, 10004, _raise("injected ground-evolution failure"))
+    _exits_2_with_one_line(
+        ["verify-all", "--out", str(tmp_path)], capsys, "injected ground-evolution failure"
+    )
+
+
+@pytest.mark.parametrize(
+    "steps, fail, line",
+    [
+        (6283, _raise("injected packet-evolution failure"), "injected packet-evolution failure"),
+        (
+            10004,
+            lambda: os.kill(os.getpid(), signal.SIGKILL),
+            f"the ground evolution's process was killed by signal {int(signal.SIGKILL)} "
+            "without a result",
+        ),
+    ],
+    ids=["packet-raises", "ground-killed"],
+)
+def test_a_child_failure_exits_2_with_one_line_and_no_child_left(
+    monkeypatch, tmp_path, capsys, steps, fail, line
+):
+    _failing_evolve(monkeypatch, steps, fail)
+    _exits_2_with_one_line(["verify-all", "--out", str(tmp_path)], capsys, line)
+
+
+def _first_scenario_raises(monkeypatch, exc, log):
+    # the first scenario to run reads no evolution, so both children
+    # still step when it raises; they log when they have evolved
     real_evolve = verification.evolve
 
-    def failing_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        if n_steps == 10004:
-            raise RuntimeError("injected ground-evolution failure")
-        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+    def logged_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+        result = real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+        _log(log, n_steps)
+        return result
 
-    monkeypatch.setattr(verification, "evolve", failing_evolve)
-    threads = threading.active_count()
-    assert main(["verify-all", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "qclab: injected ground-evolution failure"
+    def scenario(ctx):
+        raise exc
+
+    monkeypatch.setattr(verification, "evolve", logged_evolve)
+    (first, _), *rest = CRITERIA
+    monkeypatch.setattr(verification, "CRITERIA", [(first, scenario), *rest])
+
+
+def test_a_scenario_error_kills_both_children_and_exits_2(monkeypatch, tmp_path, capsys):
+    log = tmp_path / "log"
+    _first_scenario_raises(monkeypatch, RuntimeError("injected scenario failure"), log)
+    _exits_2_with_one_line(
+        ["verify-all", "--out", str(tmp_path / "out")], capsys, "injected scenario failure"
+    )
+    assert not log.exists()
+
+
+def test_an_interrupted_run_leaves_no_child(monkeypatch, tmp_path):
+    log = tmp_path / "log"
+    _first_scenario_raises(monkeypatch, KeyboardInterrupt(), log)
+    with pytest.raises(KeyboardInterrupt):
+        run_verify_all()
+    assert _no_child_left()
+    assert not log.exists()
+
+
+_EVOLUTIONS = ("ground_evolution", "packet_positions", "superposition_evolution")
+
+
+def test_only_the_evolutions_are_computed_off_the_calling_thread(threaded_run):
+    # every intermediate is computed once, in the calling process, and
+    # the three evolve calls in two forked children
+    _, logged, _ = threaded_run
+    caller = os.getpid()
+    computed = [(pid, name) for pid, name in logged if not name.startswith("evolve ")]
+    intermediates = [
+        name for name, prop in vars(VerifyContext).items() if isinstance(prop, cached_property)
     ]
-    assert threading.active_count() == threads
-
-
-_EVOLUTIONS = {"ground_evolution", "packet_positions", "superposition_evolution"}
-
-
-def test_only_the_evolutions_are_computed_off_the_calling_thread(monkeypatch):
-    # every intermediate's compute and every evolve call, with its thread
-    threads = {}
-    for name, prop in list(vars(VerifyContext).items()):
-        if isinstance(prop, cached_property):
-
-            def recorded(ctx, compute=prop.func, name=name):
-                threads.setdefault(name, set()).add(threading.get_ident())
-                return compute(ctx)
-
-            wrapped = cached_property(recorded)
-            wrapped.__set_name__(VerifyContext, name)
-            monkeypatch.setattr(VerifyContext, name, wrapped)
-    evolve_threads = []
-    real_evolve = verification.evolve
-
-    def recorded_evolve(*args, **kwargs):
-        evolve_threads.append(threading.get_ident())
-        return real_evolve(*args, **kwargs)
-
-    monkeypatch.setattr(verification, "evolve", recorded_evolve)
-    run_verify_all()
-    caller = threading.get_ident()
-    assert len(threads) == 10
-    off_thread = {name for name, idents in threads.items() if idents != {caller}}
-    assert off_thread <= _EVOLUTIONS
-    assert len(evolve_threads) == 3 and caller not in evolve_threads
+    assert len(intermediates) == 10
+    assert sorted(name for _, name in computed) == sorted(intermediates)
+    assert {pid for pid, _ in computed} == {caller}
+    evolve_pids = {pid for pid, _ in _evolve_calls(logged)}
+    assert len(evolve_pids) == 2 and caller not in evolve_pids
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["value", "error"])
-def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fails):
-    calls = []
+def test_an_intermediate_is_computed_once_for_concurrent_readers(
+    monkeypatch, tmp_path, fails
+):
+    log = tmp_path / "log"
 
     def slow_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        calls.append(n_steps)
+        _log(log, n_steps)
         time.sleep(0.05)
         if fails:
             raise RuntimeError("evolution failed")
@@ -239,33 +334,39 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(monkeypatch, fa
 
     monkeypatch.setattr(verification, "evolve", slow_evolve)
     ctx = make_context()
-    outcomes = []
+    outcomes = {name: [] for name in _EVOLUTIONS}
 
     def read():
-        try:
-            outcomes.append(ctx.ground_evolution)
-        except RuntimeError as exc:
-            outcomes.append(exc)
+        for name in _EVOLUTIONS:
+            try:
+                outcomes[name].append(getattr(ctx, name))
+            except RuntimeError as exc:
+                outcomes[name].append(exc)
 
-    # readers arrive while the prefetched evolution runs: more readers
-    # than cores, switching threads as often as possible
+    # readers arrive while the forked evolutions run: more readers than
+    # cores, switching threads as often as possible; the children are
+    # forked before any reader thread starts
     readers = [threading.Thread(target=read) for _ in range(3)]
     interval = sys.getswitchinterval()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        ctx.prefetch(pool)
+    try:
+        ctx.prefetch()
         sys.setswitchinterval(1e-6)
-        try:
-            for reader in readers:
-                reader.start()
-            read()
-            for reader in readers:
-                reader.join(timeout=10.0)
-        finally:
-            sys.setswitchinterval(interval)
+        for reader in readers:
+            reader.start()
+        read()
+        for reader in readers:
+            reader.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+        ctx.close()
     assert not any(reader.is_alive() for reader in readers)
-    assert sorted(calls) == [1000, 6283, 10004]
-    assert len(outcomes) == 4 and all(o is outcomes[0] for o in outcomes)
-    assert isinstance(outcomes[0], RuntimeError) == fails
+    calls = _logged(log)
+    assert sorted(int(n_steps) for _, n_steps in calls) == [1000, 6283, 10004]
+    assert os.getpid() not in {pid for pid, _ in calls}
+    for read_outcomes in outcomes.values():
+        assert len(read_outcomes) == 4
+        assert all(o is read_outcomes[0] for o in read_outcomes)
+        assert isinstance(read_outcomes[0], RuntimeError) == fails
 
 
 def test_a_packet_off_the_orbit_steps_fails_the_ehrenfest_check(monkeypatch):
