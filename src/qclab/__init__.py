@@ -16,7 +16,9 @@ from importlib import import_module
 
 # submodule -> the names `qclab` re-exports from it
 _EXPORTS = {
-    "config": ("ConfigError", "RunConfig", "load_run_config", "parse_config_text"),
+    "config": (
+        "ConfigError", "RunConfig", "load_run_config", "load_tabulated_csv", "parse_config_text",
+    ),
     "ensemble": (
         "RNG_ALGORITHM", "EnsembleResult", "EnsembleSpec", "WeightingFunction",
         "build_superposition", "compare_energy_statistics", "draw_sample_energies",
@@ -35,7 +37,7 @@ _EXPORTS = {
     ),
     "potentials": (
         "FreePotential", "HarmonicPotential", "InfiniteWellPotential", "Potential",
-        "SmoothBarrierPotential", "TabulatedPotential", "load_tabulated_csv",
+        "SmoothBarrierPotential", "TabulatedPotential",
     ),
     "report": ("CHECKS", "CheckResult", "VerificationReport", "check_against"),
     "spectral": (

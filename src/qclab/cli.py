@@ -16,7 +16,7 @@ to the `generated_at` timestamp and the `timing` block.
 A CSV artifact has a header row, comma-separated cells and CRLF line
 ends.  Floats are written in Python's shortest round-trip repr, booleans
 as 0/1; masked or non-finite cells read nan.  Identical config and seed
-give byte-identical CSV files.
+give byte-identical CSV files.  JSON files are report.canonical_json text.
 
 Subcommands:
   eigen       lowest-k spectrum: eigenvalues.json, eigenfunctions.csv
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import os
 import sys
 import tempfile
@@ -44,7 +43,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_run_config
 from .grids import check_run_arguments
-from .report import CheckContext, CheckResult, VerificationReport
+from .report import CheckContext, CheckResult, VerificationReport, canonical_json
 
 if TYPE_CHECKING:
     from .states import EigenPair, WaveFunction
@@ -99,38 +98,26 @@ def _write_columns(path: Path, header: list[str], *columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_wavefunction_csv(config: RunConfig, section: str) -> WaveFunction:
-    """Read (x, re, im) rows from <section>.csv; x must match the run grid."""
+    """The columns x, re, im of the table <section>.csv; x must match the run grid."""
     from .states import WaveFunction
 
     path, grid = config.get(f"{section}.csv"), config.grid
-    if not path:
-        raise ConfigError(f"{section}.state=csv needs {section}.csv")
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"wavefunction csv does not exist: {path}")
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    for column in ("x", "re", "im"):
-        if column not in (data.dtype.names or ()):
-            raise ConfigError(f"{path}: missing column {column!r}")
-    if data["x"].shape != grid.x.shape or not np.allclose(
-        data["x"], grid.x, rtol=0.0, atol=1e-12 * grid.dx
-    ):
-        raise ConfigError(
-            f"{path}: x column does not match the configured grid "
-            f"({data['x'].size} points vs {grid.n_points})"
-        )
-    bad = ~(np.isfinite(data["re"]) & np.isfinite(data["im"]))
+    header, data, rows = config.load_csv(f"{section}.csv", f"{section}.state=csv")
+    if not {"x", "re", "im"} <= set(header or ()):
+        raise ConfigError(f"{path}: expected the columns x, re, im, got {header}")
+    x, re, im = (data[:, header.index(column)] for column in ("x", "re", "im"))
+    if x.shape != grid.x.shape:
+        raise ConfigError(f"{path}: {x.size} rows where the configured grid has {grid.n_points}")
+    off = ~(np.abs(x - grid.x) <= 1e-12 * grid.dx)  # nan is off the grid too
+    if off.any():
+        i = int(np.argmax(off))
+        x_i, grid_i = float(x[i]), float(grid.x[i])
+        raise ConfigError(f"{path}: row {rows[i][0]}: x = {x_i!r} where the grid has {grid_i!r}")
+    bad = ~(np.isfinite(re) & np.isfinite(im))
     if bad.any():
-        x_bad = float(data["x"][bad][0])
-        raise ConfigError(f"{path}: non-finite re/im value at x = {x_bad!r}")
-    return WaveFunction(data["re"] + 1j * data["im"], grid)
+        raise ConfigError(f"{path}: non-finite re/im value at x = {float(x[bad][0])!r}")
+    return WaveFunction(re + 1j * im, grid)
 
 
 def _write_wavefunction_csv(path: Path, psi: WaveFunction, x=None) -> None:
@@ -172,7 +159,7 @@ def _cmd_eigen(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
     pairs = _solve_pairs(config, k)
     grid = config.grid
 
-    _write_json(out / "eigenvalues.json", [pair.energy for pair in pairs])
+    (out / "eigenvalues.json").write_text(canonical_json([pair.energy for pair in pairs]))
     _write_columns(
         out / "eigenfunctions.csv",
         ["x"] + [f"psi_{n}" for n in range(k)],
@@ -345,7 +332,7 @@ def _cmd_madelung(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
         *(np.where(np.isfinite(a), a, np.nan) for a in (polar.phase, v_q, v_t)),
         polar.node_mask,
     )
-    _write_json(out / "summary.json", summary)
+    (out / "summary.json").write_text(canonical_json(summary))
     return summary, checks
 
 
@@ -504,13 +491,8 @@ def _cmd_superpose(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
 
     _write_wavefunction_csv(out / "psi0.csv", psi0)
     distribution = energy_distribution(weights, pairs)
-    _write_json(
-        out / "energy_distribution.json",
-        [
-            {"level": n, "energy": e, "probability": p}
-            for n, (e, p) in enumerate(distribution)
-        ],
-    )
+    levels = [{"level": n, "energy": e, "probability": p} for n, (e, p) in enumerate(distribution)]
+    (out / "energy_distribution.json").write_text(canonical_json(levels))
 
     recovered = project(psi0, pairs).coefficients
     metadata = {"k": int(coefficients.size), "input_total_weight": original_total}
@@ -587,7 +569,7 @@ def _cmd_ensemble(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
             for n, (e, p) in enumerate(quantum)
         ],
     }
-    _write_json(out / "comparison.json", comparison)
+    (out / "comparison.json").write_text(canonical_json(comparison))
 
     metadata = {
         "k": k,

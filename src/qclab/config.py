@@ -8,6 +8,7 @@ at the declared type and non-finite float values.
 `tolerance.<check-name>` keys are accepted wholesale (floats); the
 check names themselves are validated by the report layer, which owns
 the check table (report.CHECKS).
+read_csv parses every CSV table a config names.
 
 Example::
 
@@ -21,10 +22,13 @@ Example::
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Union
+
+import numpy as np
 
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .potentials import (
@@ -33,12 +37,55 @@ from .potentials import (
     InfiniteWellPotential,
     Potential,
     SmoothBarrierPotential,
-    load_tabulated_csv,
+    TabulatedPotential,
 )
 
 
 class ConfigError(Exception):
     """Malformed configuration; message carries file/line context."""
+
+
+def _count_numbers(line: str) -> int | None:  # None: a cell is not a number
+    try:
+        return np.loadtxt([line], delimiter=",", quotechar='"', ndmin=1).size
+    except ValueError:
+        return None
+
+
+def read_csv(path: Union[str, Path]) -> tuple[list[str] | None, np.ndarray, list]:
+    """(header, data, rows) of a CSV table of numbers, which may be quoted,
+    nan or inf.  Blank lines and `#` comments are skipped; a first row with
+    a non-number is the header (stripped cells; else None).  rows holds the
+    1-based line number and text of each data row.  A ragged or non-numeric
+    row raises one ValueError naming its line."""
+    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    rows = [(n, line) for n, line in lines if line.split("#", 1)[0].strip()]
+    header, width = None, _count_numbers(rows[0][1]) if rows else 0
+    if width is None:
+        header = [cell.strip() for cell in rows.pop(0)[1].split("#", 1)[0].split(",")]
+        width = len(header)
+    if not rows:  # np.loadtxt warns on a table without data
+        return header, np.empty((0, width)), rows
+    with contextlib.suppress(ValueError):
+        data = np.loadtxt([line for _, line in rows], delimiter=",", quotechar='"', ndmin=2)
+        if data.shape[1] == width:
+            return header, data, rows
+    n, line = next((n, line) for n, line in rows if _count_numbers(line) != width)
+    raise ValueError(f"{path}: row {n}: expected {width} numbers, got {line.split(',')!r}")
+
+
+def load_tabulated_csv(path: Union[str, Path]) -> TabulatedPotential:
+    """The potential in the first two columns (x, V) of a table; errors
+    name the file and the row of a malformed row or a non-finite cell."""
+    _, data, rows = read_csv(path)
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: expected the columns x, V")
+    x, v = data[:, :2].T.copy()  # contiguous, as np.interp reads them on every force call
+    finite = np.isfinite(x) & np.isfinite(v)
+    if not finite.all():
+        n, line = rows[int(np.argmin(finite))]
+        raise ValueError(f"{path}: row {n}: non-finite x or V: {line.split(',')!r}")
+    return TabulatedPotential(x, v)
 
 
 # key -> (type, default).  None: the key has no default (file paths,
@@ -174,17 +221,20 @@ class RunConfig:
                 center=self.get("potential.center"),
             )
         if kind == "tabulated":
-            csv_path = self.get("potential.csv")
-            if not csv_path:
-                raise ConfigError("potential.kind=tabulated needs potential.csv")
-            path = Path(csv_path)
-            if not path.exists():
-                raise ConfigError(f"potential.csv does not exist: {path}")
-            try:
-                return load_tabulated_csv(path)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            return self.load_csv("potential.csv", "potential.kind=tabulated", load_tabulated_csv)
         raise ConfigError(f"unknown potential.kind {kind!r}")
+
+    def load_csv(self, key: str, needed_by: str, load: Callable = read_csv) -> Any:
+        """load(path) of the table the key names; every fault is a ConfigError."""
+        path = self.get(key)
+        if not path:
+            raise ConfigError(f"{needed_by} needs {key}")
+        if not Path(path).exists():
+            raise ConfigError(f"{key} does not exist: {path}")
+        try:
+            return load(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def tolerance_overrides(self) -> dict[str, float]:

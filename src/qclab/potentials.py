@@ -14,13 +14,10 @@ Tabulated       values read off a two-column CSV whose abscissae must
 """
 from __future__ import annotations
 
-import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -160,35 +157,3 @@ class TabulatedPotential(Potential):
                 "regenerate the table from this grid's points"
             )
         return self.values.copy()
-
-
-def load_tabulated_csv(path: Union[str, Path]) -> TabulatedPotential:
-    """Read a two-column CSV (x, V); a non-numeric first row is a header.
-
-    Errors name the file and the 1-based row: a malformed row after the
-    data has started, or a non-finite x or V cell.
-    """
-    xs: list[float] = []
-    vs: list[float] = []
-    header_seen = False
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                x, v = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not xs and not header_seen:
-                    header_seen = True
-                    continue
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: malformed potential row: {row!r}"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(v)):
-                raise ValueError(
-                    f"{path}: row {reader.line_num}: non-finite x or V: {row!r}"
-                )
-            xs.append(x)
-            vs.append(v)
-    return TabulatedPotential(np.asarray(xs), np.asarray(vs))

@@ -6,7 +6,8 @@ statement of the physical identity being exercised.  Serialization is
 canonical (sorted keys, fixed indentation, shortest round-trip floats),
 so two runs with the same configuration and seed produce byte-identical
 files once the volatile block (timestamp + runtimes) is dropped — which
-is exactly what comparison_payload() does.
+is exactly what comparison_payload() does.  canonical_json encodes
+report.json and every JSON artifact of the CLI.
 
 CHECKS declares every named check once: its default tolerance, its
 comparator and the identity it exercises.  A CheckContext holds a run's
@@ -24,9 +25,24 @@ from typing import Any, Union
 from .config import ConfigError, RunConfig
 from .grids import PhysicalConstants
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: non-finite floats are strings
 
 Measured = Union[float, int, bool, str]
+
+
+def _strict(value):
+    """value with each non-finite float, however deep, as "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(_strict, value))
+    return repr(float(value)) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def canonical_json(payload) -> str:
+    """Strict JSON text: sorted keys, two-space indent, a final newline,
+    floats in shortest round-trip repr and non-finite ones as strings."""
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -259,8 +275,7 @@ class VerificationReport:
         return p
 
     def to_json(self, volatile: bool = True) -> str:
-        p = self.payload() if volatile else self.comparison_payload()
-        return json.dumps(p, indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.payload() if volatile else self.comparison_payload())
 
     def summary_lines(self) -> list[str]:
         lines = []

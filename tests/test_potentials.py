@@ -164,7 +164,7 @@ def test_tabulated_csv_roundtrip(tmp_path, constants):
 def test_tabulated_csv_rejects_garbage_after_data(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,V\n0.0,1.0\n0.5,oops\n")
-    with pytest.raises(ValueError, match="malformed potential row"):
+    with pytest.raises(ValueError, match=r"bad\.csv: row 3: expected 2 numbers, got \['0\.5', 'oops'\]$"):
         load_tabulated_csv(path)
 
 

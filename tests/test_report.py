@@ -39,7 +39,7 @@ def test_report_aggregates_pass_state():
 def test_payload_roundtrips_through_json():
     r = _sample_report()
     payload = json.loads(r.to_json())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["scenario"] == "demo"
     assert payload["passed"] is True
     assert [c["name"] for c in payload["checks"]] == ["a", "b"]
