@@ -24,7 +24,9 @@ _EXPORTS = {
         "build_superposition", "compare_energy_statistics", "draw_sample_energies",
         "energy_distribution", "gaussian_weights", "project", "run_classical_ensemble",
     ),
-    "evolution": ("EvolutionResult", "Observable", "evolve", "expectation"),
+    "evolution": (
+        "EvolutionResult", "Observable", "evolve", "expectation", "split_operator_evolve",
+    ),
     "grids": ("Grid1D", "PhysicalConstants", "build_grid"),
     "hamilton_jacobi": (
         "Trajectory", "free_principal_function", "integrate_hamilton", "verlet_step",

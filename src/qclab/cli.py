@@ -403,8 +403,14 @@ def _cmd_hj(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
                 _write_columns(out / f"s_field_{k:04d}.csv", ["x", "s", "valid"], x, s, valid)
             yield k, s, valid
 
-    slices = written(principal_function_slices(potential, s0, grid, dt, n_steps, constants))
-    if s0_kind == "free" and config.get("potential.kind") == "free":
+    # the free-motion check reads every slice; otherwise only the written
+    # ones are interpolated
+    free_check = s0_kind == "free" and config.get("potential.kind") == "free"
+    sweep = principal_function_slices(
+        potential, s0, grid, dt, n_steps, constants, store_every=1 if free_check else stride
+    )
+    slices = written(sweep)
+    if free_check:
         deviation = free_characteristics_deviation(slices, grid, dt, s_fn)
         detail = f"{n_steps} steps, dt={dt}"
         checks.append(ctx.check("characteristics_free_error", deviation, detail))

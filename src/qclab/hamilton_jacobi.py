@@ -148,10 +148,12 @@ def free_principal_function(
     return s
 
 
-def _check_sweep(s0: np.ndarray, grid: Grid1D, dt: float, n_steps: int) -> None:
+def _check_sweep(
+    s0: np.ndarray, grid: Grid1D, dt: float, n_steps: int, store_every: int = 1
+) -> None:
     if s0.shape != (grid.n_points,):
         raise ValueError("s0 must be sampled on the grid")
-    check_run_arguments(dt, n_steps)
+    check_run_arguments(dt, n_steps, store_every)
 
 
 def _fan(positions: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -170,10 +172,13 @@ def principal_function_slices(
     dt: float,
     n_steps: int,
     constants: PhysicalConstants,
+    store_every: int = 1,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """S(x, t) by launching one characteristic per grid point, one slice
-    at a time: yields (step, S, valid) for steps 0..n_steps as the sweep
-    reaches them, each a fresh pair of arrays on the grid.
+    at a time: yields (step, S, valid) for every store_every-th step of
+    0..n_steps as the sweep reaches it, each a fresh pair of arrays on the
+    grid; the orbits are stepped every step, S is interpolated only on the
+    steps yielded.
 
     Initial momenta are p0 = dS0/dx (central differences).  At each
     step the endpoints carry S0(x0) + action; they are deposited at
@@ -186,7 +191,7 @@ def principal_function_slices(
     The arguments are checked on the call, before the first slice is
     asked for.
     """
-    _check_sweep(s0, grid, dt, n_steps)
+    _check_sweep(s0, grid, dt, n_steps, store_every)
 
     def sweep() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         yield 0, np.array(s0, dtype=float), np.ones(grid.n_points, dtype=bool)
@@ -200,9 +205,11 @@ def principal_function_slices(
             if inside is None:
                 crossing = k
                 break
-            yield k, np.where(inside, np.interp(grid.x, pos, s0 + action), np.nan), inside
+            if k % store_every == 0:
+                yield k, np.where(inside, np.interp(grid.x, pos, s0 + action), np.nan), inside
         for k in range(crossing, n_steps + 1):
-            yield k, np.full(grid.n_points, np.nan), np.zeros(grid.n_points, dtype=bool)
+            if k % store_every == 0:
+                yield k, np.full(grid.n_points, np.nan), np.zeros(grid.n_points, dtype=bool)
 
     return sweep()
 

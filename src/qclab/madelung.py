@@ -309,6 +309,18 @@ def inertial_deviations(
     )
 
 
+def median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit: the middle
+    value, or the mean of the two middle values, of one partition; NaN if
+    any value is.  np.median's own NaN check imports numpy.ma."""
+    half = values.size // 2
+    middle = [half] if values.size % 2 else [half - 1, half]
+    part = np.partition(values, [*middle, -1])
+    if np.isnan(part[-1]):
+        return float("nan")
+    return float(part[middle].sum() / len(middle))
+
+
 @dataclass(frozen=True)
 class AmplitudeRelationResult:
     """Outcome of the stationary amplitude-phase check.
@@ -348,7 +360,7 @@ def verify_1d_amplitude_relation(
             "relation applies to one-directional (scattering) states"
         )
     product = lam2[valid] * p_valid
-    med = float(np.median(product))
+    med = median(product)
     deviation = float(np.max(np.abs(product - med)) / abs(med))
     return AmplitudeRelationResult(vacuous=False, deviation=deviation)
 
@@ -393,14 +405,16 @@ def verify_modified_hj(
     of energy E.
 
     Evaluated at unmasked interior points; returns
-    max |(dPhi/dx)^2 - 2m(E - V_t)|.
+    max |(dPhi/dx)^2 - 2m(E - V_t)|, inf where 2m(E - V_t) overflows (a
+    wall near the float maximum).
     """
     polar = decompose(psi, constants)
     phase = phase_jump_guard(polar, constants)
     grad_phi = gradient(phase, polar.grid.dx)
     v_q = quantum_potential(polar, constants)
     v_t = total_potential(v_q, potential_values)
-    residual = grad_phi**2 - 2.0 * constants.mass * (energy - v_t)
+    with np.errstate(over="ignore"):
+        residual = grad_phi**2 - 2.0 * constants.mass * (energy - v_t)
     interior = residual[1:-1]
     finite = interior[~np.isnan(interior)]
     if finite.size == 0:

@@ -139,10 +139,10 @@ CHECKS: dict[str, tuple[float, str, str]] = {
         1.0 - 1e-6, ">=", "an eigenstate returns to itself (up to phase) after a period"
     ),
     "ehrenfest_position_deviation": (
-        1e-3,
+        1e-9,
         "<=",
-        "<x>(t) of a packet in the harmonic well follows the classical trajectory "
-        "exactly (quadratic potential)",
+        "discrete Ehrenfest theorem: in the harmonic well the split-operator "
+        "packet's <x> follows the velocity-Verlet trajectory to rounding",
     ),
     "weight_invariance": (
         1e-8,

@@ -16,7 +16,8 @@ only the RNG seed and tolerance overrides).  The scenarios:
   amplitude-relation          lambda^2 dPhi/dx constant for scattering,
                               cross-checked against the direct current
   unitarity-stationarity      norm drift, stationary overlap
-  ehrenfest-correspondence    <x>(t) against the Verlet trajectory
+  ehrenfest-correspondence    <x>(t) of a split-operator packet against
+                              the Verlet trajectory, equal to rounding
   superposition-statistics    |c_n| frozen under evolution; ensemble TV
   characteristics-solver      free-case reconstruction; caustic timing
   rerun-determinism           seeded draws reproduce bitwise
@@ -26,15 +27,19 @@ direction; report.CHECKS declares each check once, and VerifyContext
 extends report.CheckContext, which holds the run's tolerances.
 
 verify-all runs every scenario on the calling thread and forks the three
-Crank-Nicolson evolutions they share (ground state, Ehrenfest packet,
-superposition) into two child processes, which share no GIL with it.
-The calling thread first computes every input of the evolutions, then
-forks one child for the ground evolution and one for the packet and then
-the superposition; all else is computed lazily on the calling thread.
-It runs the scenarios that do not read the ground evolution while that
-child steps, then the three that do; checks and report rows keep
-CRITERIA order.  Each intermediate holds only what its scenarios read,
-taken slice by slice in its child as evolve produces them: of the
+evolutions they share into two child processes, which share no GIL with
+it: the ground state and the superposition by Crank-Nicolson (evolve),
+the Ehrenfest packet by the split-operator propagator
+(split_operator_evolve), whose <x> follows velocity Verlet to rounding
+in the quadratic well.  The calling thread first computes every input of
+the evolutions, then forks one child for the ground evolution and one
+for the packet and then the superposition; all else is computed lazily
+on the calling thread.  It runs the scenarios that read no evolution
+while the children step, then the two that read the packet child's
+results (ehrenfest-correspondence, superposition-statistics), then the three
+that read the ground evolution; checks and report rows keep CRITERIA
+order.  Each intermediate holds only what its scenarios read, taken
+slice by slice in its child as the evolution produces them: of the
 packet evolution, <x>(t); of the ground evolution, the peaks of the
 Madelung residual rows within one period (MadelungRows, fed the slices
 through one period plus one stride), slice 0, the slice nearest one
@@ -70,7 +75,13 @@ from .ensemble import (
     project,
     run_classical_ensemble,
 )
-from .evolution import EvolutionResult, Observable, evolve, expectation
+from .evolution import (
+    EvolutionResult,
+    Observable,
+    evolve,
+    expectation,
+    split_operator_evolve,
+)
 from .grids import Grid1D, PhysicalConstants, build_grid
 from .hamilton_jacobi import (
     caustic_step,
@@ -84,6 +95,7 @@ from .madelung import (
     decompose,
     inertial_deviations,
     madelung_residuals,
+    median,
     phase_residual_peak,
     quantum_potential,
     total_potential,
@@ -161,11 +173,11 @@ class GroundEvolution:
 class VerifyContext(CheckContext):
     """Tolerances, seed, and lazily shared heavy intermediates.
 
-    The eigensolve and the three Crank-Nicolson evolutions are computed
-    once and reused by every criterion that needs them.  Each is computed
-    on first read, on the reading thread, except an evolution that
-    prefetch has forked: its first read waits for the child's outcome,
-    and every read returns that result or raises that exception.
+    The eigensolve and the three evolutions are computed once and reused
+    by every criterion that needs them.  Each is computed on first read,
+    on the reading thread, except an evolution that prefetch has forked:
+    its first read waits for the child's outcome, and every read returns
+    that result or raises that exception.
     cached_property makes concurrent first readers share one read up to
     Python 3.11; from 3.12, where it takes no lock, a reader that comes
     while the pipe is read evolves the state itself.  close() kills and
@@ -327,7 +339,7 @@ class VerifyContext(CheckContext):
             positions.append(expectation(w, Observable.POSITION, self.constants))
             return False
 
-        evolve(
+        split_operator_evolve(
             packet,
             self.harmonic_potential_values,
             _DT,
@@ -483,7 +495,7 @@ def criterion_amplitude_relation(ctx: VerifyContext) -> list[CheckResult]:
     p_field = gradient(polar.phase, grid.dx)
     lam2p = polar.modulus**2 * p_field
     mj = ctx.constants.mass * probability_current(psi, ctx.constants)
-    scale = float(np.median(np.abs(mj[1:-1])))
+    scale = median(np.abs(mj[1:-1]))
     cross = float(np.nanmax(np.abs((lam2p - mj)[1:-1])) / scale)
     return [
         ctx.check(
@@ -525,12 +537,6 @@ def criterion_superposition_statistics(ctx: VerifyContext) -> list[CheckResult]:
     pairs = ctx.harmonic_pairs
     energies = np.array([pair.energy for pair in pairs])
     weights = ctx.superposition_weights
-    moduli0 = np.abs(project(ctx.superposition_state, pairs).coefficients)
-    invariance = max(
-        float(np.max(np.abs(np.abs(project(w, pairs).coefficients) - moduli0)))
-        for w in ctx.superposition_evolution.slices[1:]
-    )
-
     quantum = energy_distribution(weights, pairs)
     # the mismatched draw comes first, so its 1e5 energies are freed
     # before the ensemble run makes its own
@@ -553,6 +559,13 @@ def criterion_superposition_statistics(ctx: VerifyContext) -> list[CheckResult]:
     )
     tv_matched = compare_energy_statistics(quantum, ensemble.sample_energies)
     max_drift = float(np.max(ensemble.energy_drift))
+    # the evolution is read last, so the ensemble runs while the packet
+    # child still steps
+    moduli0 = np.abs(project(ctx.superposition_state, pairs).coefficients)
+    invariance = max(
+        float(np.max(np.abs(np.abs(project(w, pairs).coefficients) - moduli0)))
+        for w in ctx.superposition_evolution.slices[1:]
+    )
     return [
         ctx.check(
             "weight_invariance",
@@ -629,7 +642,15 @@ CRITERIA: list[tuple[str, object]] = [
     ("characteristics-solver", criterion_characteristics),
     ("rerun-determinism", criterion_rerun_determinism),
 ]
-_READS_GROUND = {"quantum-potential-gap", "madelung-residuals", "unitarity-stationarity"}
+# the scenarios that read a forked evolution, by the child they wait for:
+# 1 the packet's (packet, then superposition), 2 the ground state's
+_WAITS_FOR = {
+    "ehrenfest-correspondence": 1,
+    "superposition-statistics": 1,
+    "quantum-potential-gap": 2,
+    "madelung-residuals": 2,
+    "unitarity-stationarity": 2,
+}
 
 
 def make_context(
@@ -646,12 +667,13 @@ def run_verify_all(
 ) -> VerificationReport:
     """Run every canonical scenario; one report, one row per check.
 
-    The calling thread computes the three Crank-Nicolson evolutions'
-    inputs and forks them into two children (VerifyContext.prefetch),
-    then runs the scenarios with every other intermediate computed lazily
-    on it: first those that do not read the ground evolution, then the
-    three that do; a scenario that reads an evolution waits for it.  On
-    any exit, KeyboardInterrupt included, no child outlives the call.
+    The calling thread computes the three evolutions' inputs and forks
+    them into two children (VerifyContext.prefetch), then runs the
+    scenarios with every other intermediate computed lazily on it: first
+    those that read no evolution, then the two that read the packet
+    child's, then the three that read the ground evolution; a scenario
+    that reads an evolution waits for it.  On any exit, KeyboardInterrupt
+    included, no child outlives the call.
     """
     ctx = make_context(config, tolerance_scale)
     report = VerificationReport(
@@ -664,12 +686,13 @@ def run_verify_all(
             "tolerances": {k: ctx.tolerances[k] for k in sorted(ctx.tolerances)},
         },
     )
-    # the scenarios that read the ground evolution run last, so the others
-    # overlap it; rows and timing keys keep CRITERIA order
+    # the scenarios that read no evolution run first, then the packet's
+    # readers, then the ground evolution's, so each child steps while the
+    # calling thread works; rows and timing keys keep CRITERIA order
     results = {}
     try:
         ctx.prefetch()
-        for scenario_id, builder in sorted(CRITERIA, key=lambda c: c[0] in _READS_GROUND):
+        for scenario_id, builder in sorted(CRITERIA, key=lambda c: _WAITS_FOR.get(c[0], 0)):
             started = time.perf_counter()
             results[scenario_id] = builder(ctx), time.perf_counter() - started
     finally:

@@ -163,14 +163,17 @@ def test_criterion_11_reports_are_byte_identical(tmp_path, forked_payload):
 def test_verify_all_without_fork_matches_the_forked_run(monkeypatch, tmp_path, forked_payload):
     # without os.fork every evolution runs lazily on the calling thread,
     # by the same code, to the same bits
-    steps = []
-    real_evolve = verification.evolve
+    calls = []
 
-    def evolve_here(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        steps.append(n_steps)
-        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+    def here(name, propagate):
+        def evolve_here(psi0, potential_values, dt, n_steps, *args, **kwargs):
+            calls.append((name, n_steps))
+            return propagate(psi0, potential_values, dt, n_steps, *args, **kwargs)
 
-    monkeypatch.setattr(verification, "evolve", evolve_here)
+        return evolve_here
+
+    for name in ("evolve", "split_operator_evolve"):
+        monkeypatch.setattr(verification, name, here(name, getattr(verification, name)))
     monkeypatch.delattr(os, "fork")
     assert _verify_all_payload(tmp_path / "serial") == forked_payload
-    assert sorted(steps) == [1000, 6283, 10004]
+    assert sorted(calls) == [("evolve", 1000), ("evolve", 10004), ("split_operator_evolve", 6283)]

@@ -1,10 +1,13 @@
-"""Crank-Nicolson unitarity, exact eigenstate rotation, expectation values.
+"""Crank-Nicolson unitarity, exact eigenstate rotation, expectation values,
+and the split-operator propagator.
 
 The Cayley transform (I + i dt H / 2hbar)^{-1} (I - i dt H / 2hbar)
 shares eigenvectors with the discrete H, so a solver eigenstate must
 rotate by exactly theta = -2 atan(E dt / 2hbar) per step.  That gives a
 closed-form oracle for the evolved state with no discretization slack
-beyond the linear solves.
+beyond the linear solves.  The split-operator propagator's oracle is the
+velocity-Verlet orbit, which its <x> follows to rounding in a quadratic
+well.
 """
 import subprocess
 import sys
@@ -24,7 +27,9 @@ from qclab import (
     expectation,
     gaussian_packet,
     hamiltonian_from_values,
+    integrate_hamilton,
     solve_lowest_eigenpairs,
+    split_operator_evolve,
 )
 from qclab.states import WaveFunction
 
@@ -67,11 +72,11 @@ def _probe(code: str) -> str:
     """Last stdout line of `code` run in a fresh interpreter at the repo root,
     followed by whether any module whose name starts with scipy got loaded,
     then whether numpy.random or the secrets and hashlib modules it imports
-    (OpenSSL's libcrypto) did."""
+    (OpenSSL's libcrypto), or numpy.ma (np.median's NaN check), did."""
     src = Path(qclab.__file__).resolve().parent.parent
     loaded = (
         "print(any(m.startswith('scipy') for m in sys.modules), "
-        "any(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib')))"
+        "any(m in sys.modules for m in ('numpy.random', 'secrets', 'hashlib', 'numpy.ma')))"
     )
     out = subprocess.run(
         [sys.executable, "-c",
@@ -485,3 +490,82 @@ def test_coherent_packet_oscillates_classically(constants):
     # quarter period: the packet should sit near the origin
     x_final = expectation(result.slices[-1], Observable.POSITION, constants)
     assert abs(x_final - x0 * np.cos(1.571)) < 1e-3
+
+
+# --- the split-operator propagator ---------------------------------------------
+
+
+def test_split_operator_position_follows_verlet_in_a_quadratic_well(harmonic_grid, constants):
+    # a discrete Ehrenfest theorem: <x> is the velocity-Verlet orbit of
+    # <x>, <p> to rounding, not to the dx^2 of a stencil
+    potential = HarmonicPotential(1.0)
+    v = potential.on_grid(harmonic_grid, constants)
+    psi0 = gaussian_packet(harmonic_grid, -1.0, 2.0, 0.5, constants)
+    positions = []
+
+    def record(_, w):
+        positions.append(expectation(w, Observable.POSITION, constants))
+        return False
+
+    result = split_operator_evolve(psi0, v, 1e-3, 400, constants, store_every=20, keep=record)
+    orbit = integrate_hamilton(potential, -1.0, 2.0, 1e-3, 400, constants)
+    assert len(positions) == 21 and result.slices == ()
+    assert np.max(np.abs(np.array(positions) - orbit.positions[::20])) <= 1e-10
+    # the spectral Rayleigh quotient: (<p>^2 + var p)/2 + (<x>^2 + var x)/2
+    # with var p = (hbar / 2 width)^2 = 1
+    assert result.energy_history[0] == pytest.approx((4.0 + 1.0 + 1.0 + 0.25) / 2.0, abs=1e-9)
+
+
+def test_split_operator_conserves_the_norm(harmonic_setup, constants):
+    v, pairs = harmonic_setup
+    psi0 = WaveFunction(
+        (pairs[0].state.values + 1j * pairs[1].state.values) / np.sqrt(2.0), pairs[0].state.grid
+    )
+    result = split_operator_evolve(psi0, v, 1e-3, 500, constants, store_every=50)
+    assert np.max(np.abs(result.norm_history - result.norm_history[0])) <= 1e-12
+
+
+def test_split_operator_keep_sees_what_evolves_keep_sees(harmonic_setup, constants):
+    v, pairs = harmonic_setup
+    seen = {}
+    results = {}
+    for propagate in (evolve, split_operator_evolve):
+        calls = seen.setdefault(propagate, [])
+
+        def keep(index, w, calls=calls):
+            calls.append((index, w.time))
+            return index in (0, 2, 5)
+
+        results[propagate] = propagate(
+            pairs[1].state, v, 1e-3, 103, constants, store_every=25, keep=keep
+        )
+    # k = 0, 25, 50, 75, 100 and the final 103, each seen once, in order
+    assert seen[split_operator_evolve] == seen[evolve]
+    assert [t for _, t in seen[evolve]] == pytest.approx([0.0, 0.025, 0.05, 0.075, 0.1, 0.103])
+    full = split_operator_evolve(pairs[1].state, v, 1e-3, 103, constants, store_every=25)
+    kept = results[split_operator_evolve]
+    for w, ref in zip(kept.slices, [full.slices[k] for k in (0, 2, 5)], strict=True):
+        assert w.time == ref.time and np.array_equal(w.values, ref.values)
+    assert np.array_equal(kept.norm_history, full.norm_history)
+    assert np.array_equal(kept.energy_history, full.energy_history)
+    assert len(full.slices) == len(full.norm_history) == len(full.energy_history) == 6
+
+
+def test_split_operator_refuses_a_state_at_the_ends_of_its_periodic_box(constants):
+    grid = build_grid(-12.0, 12.0, 2401)
+    v = HarmonicPotential(1.0).on_grid(grid, constants)
+    psi = gaussian_packet(grid, 11.0, 0.0, 0.5, constants)
+    with pytest.raises(ValueError, match="periodic") as refused:
+        split_operator_evolve(psi, v, 1e-3, 5, constants)
+    assert "\n" not in str(refused.value)
+    with pytest.raises(ValueError, match="grid"):
+        split_operator_evolve(gaussian_packet(grid, 0.0, 0.0, 0.5, constants), v[:-1], 1e-3, 5, constants)
+
+
+def test_split_operator_catches_non_finite_input_at_a_stored_slice(harmonic_setup, constants):
+    v, pairs = harmonic_setup
+    values = pairs[0].state.values.copy()
+    values[1200] = np.nan
+    psi = WaveFunction(values, pairs[0].state.grid, 0.0)
+    with pytest.raises(RuntimeError, match="non-finite values by step 3"):
+        split_operator_evolve(psi, v, 1e-3, 7, constants, store_every=3)

@@ -16,6 +16,7 @@ from qclab import (
     gaussian_packet,
     integrate_hamilton,
     run_classical_ensemble,
+    split_operator_evolve,
 )
 from qclab.grids import check_run_arguments
 from qclab.hamilton_jacobi import caustic_step, principal_function_slices
@@ -89,12 +90,15 @@ _RUNNERS = {
     "evolve": lambda dt, n, every: evolve(
         _PACKET, np.zeros(11), dt, n, _UNIT, store_every=every
     ),
+    "split_operator_evolve": lambda dt, n, every: split_operator_evolve(
+        _PACKET, np.zeros(11), dt, n, _UNIT, store_every=every
+    ),
     "integrate_hamilton": lambda dt, n, every: integrate_hamilton(
         FreePotential(), 0.0, 1.0, dt, n, _UNIT
     ),
     # a generator of slices, refused on the call without being iterated
     "characteristics": lambda dt, n, every: principal_function_slices(
-        FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT
+        FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT, store_every=every
     ),
     "caustic_step": lambda dt, n, every: caustic_step(
         FreePotential(), np.zeros(11), _GRID, dt, n, _UNIT
@@ -119,9 +123,9 @@ _BAD_ARGUMENTS = {
         (runner, arguments)
         for runner in _RUNNERS
         for arguments in _BAD_ARGUMENTS
-        # integrate_hamilton, the characteristics sweep and caustic_step
-        # cover every step and take no stride
-        if arguments != "store_every=0" or runner in ("evolve", "ensemble")
+        # integrate_hamilton and caustic_step cover every step and take
+        # no stride
+        if arguments != "store_every=0" or runner not in ("integrate_hamilton", "caustic_step")
     ],
 )
 def test_every_runner_rejects_bad_run_arguments_alike(runner, arguments):

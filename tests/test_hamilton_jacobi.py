@@ -175,6 +175,30 @@ def test_streamed_sweep_equals_the_stored_orbit_field(
     assert np.array_equal(valid, mask_ref)
 
 
+@pytest.mark.parametrize("store_every", [1, 7, 250])
+def test_a_strided_sweep_interpolates_only_the_slices_it_yields(
+    monkeypatch, constants, store_every
+):
+    # rest release crosses at step 158, not a multiple of 7: the stride
+    # runs on through the masked tail
+    case = _rest_release(5.0, 401, 1e-2, 250)
+    full = [(k, s, valid) for k, s, valid in principal_function_slices(*case, constants)]
+    interpolated = []
+    real_interp = np.interp
+
+    def counted_interp(*args, **kwargs):
+        interpolated.append(1)
+        return real_interp(*args, **kwargs)
+
+    monkeypatch.setattr(qclab.hamilton_jacobi.np, "interp", counted_interp)
+    strided = list(principal_function_slices(*case, constants, store_every=store_every))
+    expected = [row for row in full if row[0] % store_every == 0]
+    assert [k for k, _, _ in strided] == [k for k, _, _ in expected]
+    for (_, s, valid), (_, s_ref, valid_ref) in zip(strided, expected):
+        assert np.array_equal(s, s_ref, equal_nan=True) and np.array_equal(valid, valid_ref)
+    assert len(interpolated) == sum(1 for k, _, _ in expected if 0 < k < 158)
+
+
 def test_an_empty_fan_before_the_crossing_is_the_first_masked_step(constants):
     # x(t) = x0 cos t: the fan [-cos t, cos t] passes the inner points
     # +-1/3 at t = acos(1/3) = 1.23, before the crossing at pi/2

@@ -23,6 +23,7 @@ from qclab import (
 from qclab.madelung import (
     MadelungRows,
     madelung_residuals,
+    median,
     phase_action_gap,
     phase_jump_guard,
     verify_1d_amplitude_relation,
@@ -117,6 +118,24 @@ def test_decompose_rejects_the_zero_state(constants):
     grid = build_grid(-1.0, 1.0, 21)
     with pytest.raises(ValueError):
         decompose(WaveFunction(np.zeros(21, dtype=complex), grid), constants)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 101, 2400, 4001])
+def test_median_is_np_median_bit_for_bit(size):
+    # odd and even sizes; ties, signed zeros, subnormals, infinities and a NaN
+    rng = np.random.default_rng(size)
+    samples = [
+        rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300),
+        np.round(rng.standard_normal(size)),
+        rng.choice([-0.0, 0.0], size),
+        rng.standard_normal(size) * 1e-310,
+        rng.choice([-np.inf, 1.0, np.inf], size),
+    ]
+    with_nan = rng.standard_normal(size)
+    with_nan[size // 2] = np.nan
+    for values in [*samples, with_nan]:
+        expected = np.float64(np.median(values))
+        assert np.float64(median(values)).tobytes() == expected.tobytes()
 
 
 def test_amplitude_relation_is_vacuous_for_real_states(harmonic_grid, constants):

@@ -311,15 +311,18 @@ def test_canonical_json_writes_finite_payloads_as_json_dumps_did():
     assert canonical_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_cli_artifact_with_an_overflowing_value_is_strict_json(tmp_path):
-    # on a 1e308 wall, 2m(E - V) overflows: the residual is inf
+    # on a 1e308 wall, 2m(E - V) overflows: the residual is inf, and no
+    # overflow warning reaches stderr
     x = build_grid(-5.0, 5.0, 101).x.tolist()
     table = tmp_path / "walls.csv"
     table.write_text("".join(f"{xi!r},{1e308 if abs(xi) > 4 else 0.0!r}\n" for xi in x))
     values = {"grid.x_min": -5, "grid.x_max": 5, "grid.n_points": 101,
               "potential.kind": "tabulated", "potential.csv": table, "madelung.energy": 0.5}
-    assert _run(tmp_path, "madelung", values) == (0, [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(tmp_path, "madelung", values) == (0, [])
+    assert [str(w.message) for w in caught] == []
     for name in ("summary.json", "report.json"):
         text = (tmp_path / "madelung" / name).read_text()
         payload = json.loads(text, parse_constant=_refuse_constant)

@@ -1,6 +1,8 @@
 """The verification context: tolerance table, overrides, scale semantics,
 and the once-only intermediates, of which verify-all's two forked
-children compute only the three evolutions."""
+children compute only the three evolutions: the ground state and the
+superposition by Crank-Nicolson, the Ehrenfest packet by the
+split-operator propagator."""
 import math
 import os
 import signal
@@ -19,6 +21,7 @@ import qclab
 from qclab import (
     ConfigError,
     FreePotential,
+    HarmonicPotential,
     build_grid,
     evolve,
     free_principal_function,
@@ -122,6 +125,13 @@ def _logged(path) -> list[tuple[int, str]]:
     return [(int(pid), rest) for pid, rest in (line.split(" ", 1) for line in lines)]
 
 
+def _patch_propagators(mp, wrap) -> None:
+    """Replace each propagator verification calls, evolve and
+    split_operator_evolve, by wrap(name, propagator)."""
+    for name in ("evolve", "split_operator_evolve"):
+        mp.setattr(verification, name, wrap(name, getattr(verification, name)))
+
+
 def _no_child_left() -> bool:
     try:
         os.waitpid(-1, os.WNOHANG)
@@ -132,17 +142,28 @@ def _no_child_left() -> bool:
 
 @pytest.fixture(scope="module")
 def threaded_run(tmp_path_factory):
-    """One verify-all run with every evolve call and every intermediate's
-    compute logged with its process, and whether any child was left."""
+    """One verify-all run with every scenario, every propagator call and
+    every intermediate's compute logged with its process, and whether any
+    child was left."""
     log = tmp_path_factory.mktemp("run") / "log"
-    real_evolve = verification.evolve
 
-    def counting_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        _log(log, "evolve", n_steps)
-        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+    def counting(name, propagate):
+        def counted(psi0, potential_values, dt, n_steps, *args, **kwargs):
+            _log(log, "propagate", name, n_steps)
+            return propagate(psi0, potential_values, dt, n_steps, *args, **kwargs)
+
+        return counted
+
+    def scenario(scenario_id, builder):
+        def logged(ctx):
+            _log(log, "scenario", scenario_id)
+            return builder(ctx)
+
+        return logged
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verification, "evolve", counting_evolve)
+        _patch_propagators(mp, counting)
+        mp.setattr(verification, "CRITERIA", [(s, scenario(s, b)) for s, b in CRITERIA])
         for name, prop in list(vars(VerifyContext).items()):
             if isinstance(prop, cached_property):
 
@@ -158,8 +179,9 @@ def threaded_run(tmp_path_factory):
     return report, _logged(log), no_child_left
 
 
-def _evolve_calls(logged) -> list[tuple[int, int]]:
-    return [(pid, int(what.split()[1])) for pid, what in logged if what.startswith("evolve ")]
+def _evolve_calls(logged) -> list[tuple[int, str]]:
+    """(pid, "<propagator> <n_steps>") of each logged propagator call."""
+    return [(pid, what.split(" ", 1)[1]) for pid, what in logged if what.startswith("propagate ")]
 
 
 def test_threaded_run_matches_serial_builders(threaded_run):
@@ -171,11 +193,25 @@ def test_threaded_run_matches_serial_builders(threaded_run):
 
 
 def test_threaded_run_evolves_each_state_once(threaded_run):
+    # the ground state and the superposition by Crank-Nicolson, the packet
+    # by the split-operator propagator
     _, logged, no_child_left = threaded_run
-    calls = sorted(n_steps for _, n_steps in _evolve_calls(logged))
-    assert calls == [1000, 6283, 10004]
-    assert sum(calls) == 17_287
+    calls = sorted(call for _, call in _evolve_calls(logged))
+    assert calls == ["evolve 1000", "evolve 10004", "split_operator_evolve 6283"]
     assert no_child_left
+
+
+def test_scenarios_run_unread_evolutions_first_then_the_packets_then_the_grounds(
+    threaded_run,
+):
+    # both children step while the calling thread runs the scenarios that
+    # wait for neither
+    _, logged, _ = threaded_run
+    order = [what.split()[1] for _, what in logged if what.startswith("scenario ")]
+    packet = ["ehrenfest-correspondence", "superposition-statistics"]
+    ground = ["quantum-potential-gap", "madelung-residuals", "unitarity-stationarity"]
+    rest = [scenario for scenario, _ in CRITERIA if scenario not in packet + ground]
+    assert order == rest + packet + ground
 
 
 def test_verify_all_forks_twice_after_lapack_loads():
@@ -218,14 +254,16 @@ def _exits_2_with_one_line(argv, capsys, line) -> None:
 
 
 def _failing_evolve(monkeypatch, failing_steps, fail):
-    real_evolve = verification.evolve
+    # 10004 steps is the ground evolution, 6283 the packet's
+    def failing(name, propagate):
+        def failing_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+            if n_steps == failing_steps:
+                fail()
+            return propagate(psi0, potential_values, dt, n_steps, *args, **kwargs)
 
-    def failing_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        if n_steps == failing_steps:
-            fail()
-        return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
+        return failing_evolve
 
-    monkeypatch.setattr(verification, "evolve", failing_evolve)
+    _patch_propagators(monkeypatch, failing)
 
 
 def _raise(message):
@@ -267,17 +305,18 @@ def test_a_child_failure_exits_2_with_one_line_and_no_child_left(
 def _first_scenario_raises(monkeypatch, exc, log):
     # the first scenario to run reads no evolution, so both children
     # still step when it raises; they log when they have evolved
-    real_evolve = verification.evolve
+    def logged(name, propagate):
+        def logged_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+            result = propagate(psi0, potential_values, dt, n_steps, *args, **kwargs)
+            _log(log, n_steps)
+            return result
 
-    def logged_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        result = real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
-        _log(log, n_steps)
-        return result
+        return logged_evolve
 
     def scenario(ctx):
         raise exc
 
-    monkeypatch.setattr(verification, "evolve", logged_evolve)
+    _patch_propagators(monkeypatch, logged)
     (first, _), *rest = CRITERIA
     monkeypatch.setattr(verification, "CRITERIA", [(first, scenario), *rest])
 
@@ -305,10 +344,11 @@ _EVOLUTIONS = ("ground_evolution", "packet_positions", "superposition_evolution"
 
 def test_only_the_evolutions_are_computed_off_the_calling_thread(threaded_run):
     # every intermediate is computed once, in the calling process, and
-    # the three evolve calls in two forked children
+    # the three propagator calls in two forked children
     _, logged, _ = threaded_run
     caller = os.getpid()
-    computed = [(pid, name) for pid, name in logged if not name.startswith("evolve ")]
+    # an intermediate's line is its name alone
+    computed = [(pid, name) for pid, name in logged if " " not in name]
     intermediates = [
         name for name, prop in vars(VerifyContext).items() if isinstance(prop, cached_property)
     ]
@@ -325,14 +365,17 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(
 ):
     log = tmp_path / "log"
 
-    def slow_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        _log(log, n_steps)
-        time.sleep(0.05)
-        if fails:
-            raise RuntimeError("evolution failed")
-        return object()
+    def slow(name, _):
+        def slow_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
+            _log(log, name, n_steps)
+            time.sleep(0.05)
+            if fails:
+                raise RuntimeError("evolution failed")
+            return object()
 
-    monkeypatch.setattr(verification, "evolve", slow_evolve)
+        return slow_evolve
+
+    _patch_propagators(monkeypatch, slow)
     ctx = make_context()
     outcomes = {name: [] for name in _EVOLUTIONS}
 
@@ -361,7 +404,9 @@ def test_an_intermediate_is_computed_once_for_concurrent_readers(
         ctx.close()
     assert not any(reader.is_alive() for reader in readers)
     calls = _logged(log)
-    assert sorted(int(n_steps) for _, n_steps in calls) == [1000, 6283, 10004]
+    assert sorted(call for _, call in calls) == [
+        "evolve 1000", "evolve 10004", "split_operator_evolve 6283"
+    ]
     assert os.getpid() not in {pid for pid, _ in calls}
     for read_outcomes in outcomes.values():
         assert len(read_outcomes) == 4
@@ -373,17 +418,29 @@ def test_a_packet_off_the_orbit_steps_fails_the_ehrenfest_check(monkeypatch):
     # the packet alone takes dt x (1 + 1e-3); its slices then sit at
     # other times than the orbit's steps, which the check must catch
     # rather than index the orbit past its end
-    real_evolve = verification.evolve
+    real_evolve = verification.split_operator_evolve
 
     def stretched_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs):
-        if n_steps == 6283:
-            dt *= 1.0 + 1e-3
+        assert n_steps == 6283
+        dt *= 1.0 + 1e-3
         return real_evolve(psi0, potential_values, dt, n_steps, *args, **kwargs)
 
-    monkeypatch.setattr(verification, "evolve", stretched_evolve)
+    monkeypatch.setattr(verification, "split_operator_evolve", stretched_evolve)
     (check,) = verification.criterion_ehrenfest(make_context())
     assert check.name == "ehrenfest_position_deviation"
     assert not check.passed and check.measured > 1e-3
+
+
+def test_a_force_error_of_1e_4_fails_the_ehrenfest_check(monkeypatch):
+    # the Verlet orbit's force x (1 + 1e-4) moves it 4.8e-4 off the
+    # packet's <x>, which follows the true force to rounding
+    real_force = HarmonicPotential.force
+    monkeypatch.setattr(
+        HarmonicPotential, "force", lambda self, x, c: real_force(self, x, c) * (1.0 + 1e-4)
+    )
+    (check,) = verification.criterion_ehrenfest(make_context())
+    assert not check.passed
+    assert check.measured == pytest.approx(4.8e-4, rel=0.05)
 
 
 # --- memory: each scenario holds only what its checks read --------------------
