@@ -164,7 +164,7 @@ def _cmd_eigen(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
         out / "eigenfunctions.csv",
         ["x"] + [f"psi_{n}" for n in range(k)],
         grid.x,
-        *(pair.state.values.real for pair in pairs),
+        *(pair.state.values for pair in pairs),
     )
 
     gram = np.array(
@@ -201,9 +201,11 @@ def _initial_state(config: RunConfig) -> WaveFunction:
 
 def _cmd_evolve(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
     from .evolution import NORM_TOLERANCE, Observable, evolve, expectation
+    from .spectral import kinetic_scale
     from .states import WaveFunction
 
     grid, constants = config.grid, config.constants
+    kinetic_scale(grid, constants)  # refuse the grid before sampling on it
     v = config.potential.on_grid(grid, constants)
     psi0 = _initial_state(config)
     # evolve holds the walls at zero, so a state that reaches them loses
@@ -447,8 +449,8 @@ def _cmd_hj_compare(config: RunConfig, ctx: CheckContext, out: Path) -> Outcome:
 
         omega = config.get("potential.omega")
         potential = HarmonicPotential(omega)
-        v = potential.on_grid(grid, constants)
         h = assemble_hamiltonian(potential, grid, constants)
+        v = potential.on_grid(grid, constants)
         ground = solve_lowest_eigenpairs(h, 1)[0]
         dt = config.get("hj.dt")
         result = evolve(ground.state, v, dt, 2, constants, store_every=1)

@@ -239,7 +239,9 @@ def expectation(
             f"expectation needs a normalized state, got norm {norm!r}"
         )
     grid = psi.grid
-    values = psi.values
+    # summed in complex arithmetic, so a real state gives its complex
+    # copy's bits (numpy sums a real array in another order)
+    values = psi.values.astype(complex, copy=False)
     if observable is Observable.POSITION:
         integrand = np.conj(values) * grid.x * values
     else:  # Observable.MOMENTUM

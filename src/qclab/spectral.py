@@ -7,7 +7,9 @@ tridiagonal with constant off-diagonal:
     H[i, i+1] = -hbar^2 / (2 m dx^2)
 
 Bound states are solved on the interior points only (hard walls at the
-grid ends), and the eigenvectors are zero-padded back onto the full grid.
+grid ends), and the eigenvectors are zero-padded back onto the full grid
+and returned real (float64), as the stationary states of a real symmetric
+H are.
 With that convention the trapezoid inner product of two padded vectors is
 exactly dx times their Euclidean product, so eigenstates normalized here
 are orthonormal to machine precision under the same quadrature the rest
@@ -50,8 +52,21 @@ class HamiltonianMatrix:
 
     @property
     def potential_values(self) -> np.ndarray:
-        kinetic = self.constants.hbar**2 / (self.constants.mass * self.grid.dx**2)
-        return self.diagonal - kinetic
+        # the kinetic scale hbar^2/(m dx^2) is -2 * off_diagonal exactly
+        return self.diagonal + 2.0 * self.off_diagonal
+
+
+def kinetic_scale(grid: Grid1D, constants: PhysicalConstants) -> float:
+    """hbar^2/(m dx^2), H's kinetic diagonal; ValueError where it is not
+    finite and positive, as where dx^2 overflows or underflows."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        kinetic = float(constants.hbar**2 / (constants.mass * np.float64(grid.dx) ** 2))
+    if not 0.0 < kinetic < np.inf:
+        raise ValueError(
+            f"grid spacing dx = {grid.dx!r} gives the kinetic scale "
+            f"hbar^2/(m dx^2) = {kinetic!r}; it must be finite and positive"
+        )
+    return kinetic
 
 
 def hamiltonian_from_values(
@@ -59,15 +74,14 @@ def hamiltonian_from_values(
 ) -> HamiltonianMatrix:
     if potential_values.shape != (grid.n_points,):
         raise ValueError("potential_values must be sampled on the grid")
-    dx2 = grid.dx**2
-    kinetic = constants.hbar**2 / (constants.mass * dx2)
-    off = -(constants.hbar**2) / (2.0 * constants.mass * dx2)
-    return HamiltonianMatrix(potential_values + kinetic, off, grid, constants)
+    kinetic = kinetic_scale(grid, constants)
+    return HamiltonianMatrix(potential_values + kinetic, -0.5 * kinetic, grid, constants)
 
 
 def assemble_hamiltonian(
     potential: Potential, grid: Grid1D, constants: PhysicalConstants
 ) -> HamiltonianMatrix:
+    kinetic_scale(grid, constants)  # refuse the grid before sampling V on it
     v = potential.on_grid(grid, constants)
     return hamiltonian_from_values(v, grid, constants)
 
@@ -75,7 +89,8 @@ def assemble_hamiltonian(
 def solve_lowest_eigenpairs(
     hamiltonian: HamiltonianMatrix, k: int
 ) -> list[EigenPair]:
-    """The k lowest bound eigenpairs, trapezoid-normalized on the grid.
+    """The k lowest bound eigenpairs, trapezoid-normalized on the grid,
+    with real (float64) states.
 
     Hard-wall boundary: the eigenproblem lives on the interior points and
     the returned states vanish at both grid ends.  Each vector's sign is
@@ -95,6 +110,15 @@ def solve_lowest_eigenpairs(
 
     pairs: list[EigenPair] = []
     v_edges = hamiltonian.potential_values[[0, -1]]
+    # Residual budget: 1e-8 * peak wherever floating point can express it.
+    # On fine grids the roundoff floor eps * |H|_scale * ||u||_2 takes over
+    # (trapezoid normalization puts ||u||_2 at 1/sqrt(dx)), so the gate
+    # never asks for digits that do not exist.  LAPACK's inverse iteration
+    # lands 100-10000x below this on harmonic wells of 2401-40001 points.
+    h_scale = np.max(np.abs(hamiltonian.diagonal)) + 2.0 * abs(
+        hamiltonian.off_diagonal
+    )
+    roundoff_floor = 500.0 * np.finfo(float).eps * h_scale / np.sqrt(grid.dx)
     for j in range(k):
         energy = float(result.eigenvalues[j])
         padded = np.zeros(grid.n_points)
@@ -107,18 +131,6 @@ def solve_lowest_eigenpairs(
             padded = -padded
         residual = np.max(
             np.abs(hamiltonian.apply(padded) - energy * padded)[1:-1]
-        )
-        # Budget: 1e-8 * peak wherever floating point can express it.  On
-        # fine grids the roundoff floor eps * |H|_scale * ||u||_2 takes
-        # over (trapezoid normalization puts ||u||_2 at 1/sqrt(dx)), so
-        # the gate never asks for digits that do not exist.  LAPACK's
-        # inverse iteration lands 100-10000x below this on harmonic
-        # wells of 2401-40001 points.
-        h_scale = np.max(np.abs(hamiltonian.diagonal)) + 2.0 * abs(
-            hamiltonian.off_diagonal
-        )
-        roundoff_floor = (
-            500.0 * np.finfo(float).eps * h_scale / np.sqrt(grid.dx)
         )
         residual_gate = max(1e-8 * peak, roundoff_floor)
         if residual > residual_gate:
@@ -137,8 +149,7 @@ def solve_lowest_eigenpairs(
                 "results",
                 stacklevel=2,
             )
-        state = WaveFunction(padded.astype(complex), grid)
-        pairs.append(EigenPair(energy, state, j))
+        pairs.append(EigenPair(energy, WaveFunction(padded, grid), j))
     return pairs
 
 

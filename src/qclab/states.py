@@ -1,4 +1,9 @@
-"""Complex wavefunctions and eigenpairs on a grid, and ready-made initial states."""
+"""Wavefunctions and eigenpairs on a grid, and ready-made initial states.
+
+A bound eigenstate is real: its values stay float64, and complex
+arithmetic starts where a phase enters (evolution, superposition, plane
+waves and packets).
+"""
 from __future__ import annotations
 
 import math
@@ -12,14 +17,22 @@ from .stencils import gradient
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """A complex field sampled on a grid at one instant."""
+    """A field sampled on a grid at one instant.
+
+    float64 values stay float64, as a real stationary state needs no
+    imaginary part; any other input is converted to complex128.  numpy
+    promotes a real state that meets a complex one to x + 0j, the same
+    bits as its complex copy.
+    """
 
     values: np.ndarray
     grid: Grid1D
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values)
+        if v.dtype != np.float64:
+            v = np.asarray(v, dtype=complex)
         if v.shape != (self.grid.n_points,):
             raise ValueError(
                 f"values shape {v.shape} does not match grid "
@@ -35,7 +48,11 @@ class WaveFunction:
         )
 
     def inner(self, other: "WaveFunction") -> complex:
-        """Trapezoidal <self, other> = integral of conj(self)*other."""
+        """Trapezoidal <self, other> = integral of conj(self)*other.
+
+        Two real states are summed by numpy's real pairwise summation,
+        which can differ from their complex copies' in the last bit.
+        """
         return complex(
             np.trapezoid(np.conj(self.values) * other.values, dx=self.grid.dx)
         )
@@ -93,7 +110,8 @@ def harmonic_eigenfunction(
     omega: float,
     constants: PhysicalConstants,
 ) -> WaveFunction:
-    """Analytic n-th oscillator eigenstate at t = 0, continuum-normalized.
+    """Analytic n-th oscillator eigenstate at t = 0, continuum-normalized
+    and real (float64 values).
 
     phi_n(x) = (m w / pi hbar)^(1/4) / sqrt(2^n n!) * H_n(xi) e^{-xi^2/2},
     xi = x sqrt(m w / hbar), with physicists' Hermite polynomials by the
@@ -120,7 +138,7 @@ def harmonic_eigenfunction(
     for k in range(2, n + 1):
         h, h_prev = 2.0 * xi * h - 2.0 * (k - 1) * h_prev, h
     values = norm * h * np.exp(-0.5 * xi**2)
-    return WaveFunction(values.astype(complex), grid)
+    return WaveFunction(values, grid)
 
 
 def probability_current(

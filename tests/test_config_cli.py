@@ -559,6 +559,43 @@ def test_eigen_rejects_a_grid_span_that_overflows(tmp_path, capsys):
     assert "dx = inf" in err[0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bounds, dx, kinetic",
+    [
+        # dx^2 overflows, so hbar^2/(m dx^2) rounds to zero
+        ("grid.x_min = -1e300\ngrid.x_max = 1e300\n", "2.0000000000000002e+298", "0.0"),
+        # dx^2 underflows to zero, so hbar^2/(m dx^2) is a division by zero
+        ("grid.x_min = 0\ngrid.x_max = 1e-300\n", "1e-302", "inf"),
+    ],
+    ids=["overflow", "underflow"],
+)
+@pytest.mark.parametrize(
+    "subcommand, extra",
+    [
+        ("eigen", ""),
+        ("evolve", ""),
+        ("ensemble", ""),
+        ("superpose", "superpose.coefficients = 1, 1\n"),
+        ("hj-compare", "compare.scenario = harmonic-ground\n"),
+    ],
+    ids=["eigen", "evolve", "ensemble", "superpose", "hj-compare"],
+)
+def test_a_grid_without_a_kinetic_scale_exits_2_with_one_line(
+    tmp_path, capsys, subcommand, extra, bounds, dx, kinetic
+):
+    # the grid is refused before anything is sampled on it, so no overflow
+    # warning precedes the message either
+    cfg = _write(tmp_path, bounds + "grid.n_points = 101\npotential.kind = harmonic\n" + extra)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"qclab: grid spacing dx = {dx} gives the kinetic scale "
+        f"hbar^2/(m dx^2) = {kinetic}; it must be finite and positive"
+    ]
+    assert not out.exists()
+
+
 def test_hj_compare_free_scenario(tmp_path):
     cfg = _write(tmp_path, "compare.scenario = free\nhj.energy = 0.5\n")
     out = tmp_path / "out"

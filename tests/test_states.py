@@ -10,9 +10,12 @@ from qclab import (
     plane_wave,
     probability_current,
 )
+from qclab.ensemble import WeightingFunction, build_superposition, project
+from qclab.evolution import Observable, evolve, expectation, split_operator_evolve
+from qclab.madelung import decompose
 from qclab.spectral import HamiltonianMatrix, assemble_hamiltonian
 from qclab.potentials import HarmonicPotential
-from qclab.states import WaveFunction
+from qclab.states import EigenPair, WaveFunction
 
 
 def test_plane_wave_has_unit_modulus_and_right_wavelength(constants):
@@ -145,3 +148,92 @@ def test_oscillator_state_values_below_the_overflow(constants, n):
     psi = harmonic_eigenfunction(n, grid, 1.0, constants)
     assert np.array_equal(psi.values, expected)
     assert np.any(psi.values != 0.0)
+
+
+# --- real stationary states ---------------------------------------------------
+
+
+def test_float64_values_stay_real_and_other_input_becomes_complex128():
+    grid = build_grid(-1.0, 1.0, 5)
+    real = np.linspace(0.0, 1.0, 5)
+    psi = WaveFunction(real, grid)
+    assert psi.values.dtype == np.float64 and psi.values is real
+    assert psi.normalized().values.dtype == np.float64
+    for values in (
+        np.arange(5),
+        [0, 1, 2, 3, 4],
+        real.astype(np.float32),
+        real.astype(np.complex64),
+        real.astype(complex),
+    ):
+        assert WaveFunction(values, grid).values.dtype == np.complex128
+
+
+def test_stationary_states_are_float64(harmonic_pairs, harmonic_grid, constants):
+    assert [pair.state.values.dtype for pair in harmonic_pairs] == [np.float64] * 8
+    for n in (0, 5):
+        psi = harmonic_eigenfunction(n, harmonic_grid, 1.0, constants)
+        assert psi.values.dtype == np.float64
+
+
+def _same_bits(a, b) -> bool:
+    """a and b are equal bit for bit once a real one is promoted the way
+    numpy promotes it (x -> x + 0j), NaNs and signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    common = np.result_type(a, b)
+    return a.shape == b.shape and a.astype(common).tobytes() == b.astype(common).tobytes()
+
+
+def _evolution_bits(run):
+    def outputs(basis, constants, v):
+        result = run(basis[2].state, v, 1e-3, 20, constants, store_every=5)
+        return [w.values for w in result.slices] + [
+            result.norm_history,
+            result.energy_history,
+        ]
+
+    return outputs
+
+
+_WEIGHTS = np.array([0.6, 0.0, 0.8j, 0.0])
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        _evolution_bits(evolve),
+        _evolution_bits(split_operator_evolve),
+        lambda basis, constants, v: [
+            build_superposition(basis, WeightingFunction(_WEIGHTS)).values
+        ],
+        # the eigenstates are the basis; the projected state is complex
+        lambda basis, constants, v: [
+            project(gaussian_packet(basis[0].state.grid, 0.5, 1.0, 0.7, constants), basis)
+            .coefficients
+        ],
+        lambda basis, constants, v: [
+            getattr(decompose(pair.state, constants), field)
+            for pair in basis
+            for field in ("modulus", "phase", "node_mask")
+        ],
+        lambda basis, constants, v: [
+            expectation(pair.state, observable, constants)
+            for pair in basis
+            for observable in Observable
+        ],
+    ],
+    ids=["evolve", "split_operator_evolve", "build_superposition", "project",
+         "decompose", "expectation"],
+)
+def test_a_real_eigenstate_gives_its_complex_copys_bits(
+    harmonic_pairs, harmonic_grid, constants, outputs
+):
+    basis = harmonic_pairs[:4]
+    copies = [
+        EigenPair(p.energy, WaveFunction(p.state.values.astype(complex), harmonic_grid), p.index)
+        for p in basis
+    ]
+    v = HarmonicPotential(1.0).on_grid(harmonic_grid, constants)
+    real, complex_ = outputs(basis, constants, v), outputs(copies, constants, v)
+    assert len(real) == len(complex_)
+    assert all(_same_bits(a, b) for a, b in zip(real, complex_))
